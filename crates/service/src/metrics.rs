@@ -155,8 +155,8 @@ pub struct ShardMetrics {
     /// KV pairs moved by those quanta.
     pub migration_moved: u64,
     /// Source buckets still to drain (plus pending finalize) at the last
-    /// observation — a gauge, not a counter; summed across shards in
-    /// totals (each shard has at most one migration in flight).
+    /// observation, fixed and byte tier combined — a gauge, not a
+    /// counter; summed across shards in totals.
     pub migration_backlog: u64,
     /// Byte-tier (unsized) flush windows executed. Always 0 with
     /// `Tier::Fixed` — this is what gates the arena gauges' registration.

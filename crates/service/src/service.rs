@@ -20,7 +20,7 @@
 //! per-flush counters and then summed), after which the window is merged
 //! back into the caller's running totals.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use dycuckoo::hashfn::splitmix64;
 use dycuckoo::unsized_kv::MAX_BLOB_LEN;
@@ -320,10 +320,7 @@ impl KvService {
         };
         let mut shards = Vec::with_capacity(cfg.shards);
         for i in 0..cfg.shards {
-            let build_sim: &mut SimContext = match shard_sims.get_mut(i) {
-                Some(s) => s,
-                None => &mut *sim,
-            };
+            let build_sim = kernel_sim(&mut shard_sims, i, sim);
             let table_cfg = Config {
                 seed: splitmix64(cfg.table.seed.wrapping_add(i as u64)),
                 migration_quantum: cfg.migration_quantum,
@@ -390,27 +387,9 @@ impl KvService {
     /// bound). Refusals are counted per shard.
     pub fn submit(&mut self, client: u32, op: Op) -> Result<u64, AdmitError> {
         let shard = self.router.shard_of(op.key());
-        let m = &mut self.metrics.per_shard[shard];
-        m.submitted += 1;
         let depth = self.shards[shard].queue.len();
-        match self.admission.admit(shard, depth, &op) {
-            Ok(()) => {}
-            Err(e) => {
-                match e {
-                    AdmitError::Overloaded { .. } => m.shed_overloaded += 1,
-                    AdmitError::Shed { .. } => m.shed_reads += 1,
-                    AdmitError::ZeroKey => {}
-                }
-                if obs::is_enabled() && !matches!(e, AdmitError::ZeroKey) {
-                    obs::emit(obs::Event::Shed {
-                        shard: shard as u32,
-                        depth: depth as u32,
-                        hard: matches!(e, AdmitError::Overloaded { .. }),
-                    });
-                }
-                return Err(e);
-            }
-        }
+        let id = self.admit_request(shard, depth, self.admission.admit(shard, depth, &op))?;
+        let m = &mut self.metrics.per_shard[shard];
         // Miss shield: a Get whose key the filter provably excludes — and
         // for which no write is queued in this shard's window (those are
         // the coalescer's to answer) — completes right now with
@@ -422,9 +401,6 @@ impl KvService {
                 .iter()
                 .any(|p| p.op.key() == key && !p.op.is_read());
             if !write_pending && !filter.may_contain(key) {
-                let id = self.next_id;
-                self.next_id += 1;
-                m.admitted += 1;
                 m.completed += 1;
                 m.filter_shed += 1;
                 m.latency.record(0);
@@ -446,15 +422,12 @@ impl KvService {
                 return Ok(id);
             }
         }
-        let id = self.next_id;
-        self.next_id += 1;
         self.shards[shard].queue.push_back(Pending {
             id,
             client,
             op,
             submitted_tick: self.clock,
         });
-        m.admitted += 1;
         m.max_queue_depth = m.max_queue_depth.max(depth + 1);
         Ok(id)
     }
@@ -479,35 +452,52 @@ impl KvService {
             });
         }
         let shard = self.router.shard_of_bytes(op.key());
-        let m = &mut self.metrics.per_shard[shard];
-        m.submitted += 1;
         let depth = self.shards[shard].byte_queue.len();
-        if let Err(e) = self.admission.admit_depth(shard, depth, op.is_read()) {
-            match e {
-                AdmitError::Overloaded { .. } => m.shed_overloaded += 1,
-                AdmitError::Shed { .. } => m.shed_reads += 1,
-                AdmitError::ZeroKey => {}
-            }
-            if obs::is_enabled() {
-                obs::emit(obs::Event::Shed {
-                    shard: shard as u32,
-                    depth: depth as u32,
-                    hard: matches!(e, AdmitError::Overloaded { .. }),
-                });
-            }
-            return Err(ServiceError::Admit(e));
-        }
-        let id = self.next_id;
-        self.next_id += 1;
+        let admitted = self.admission.admit_depth(shard, depth, op.is_read());
+        let id = self
+            .admit_request(shard, depth, admitted)
+            .map_err(ServiceError::Admit)?;
         self.shards[shard].byte_queue.push_back(BytePending {
             id,
             client,
             op,
             submitted_tick: self.clock,
         });
-        m.admitted += 1;
+        let m = &mut self.metrics.per_shard[shard];
         m.max_queue_depth = m.max_queue_depth.max(depth + 1);
         Ok(id)
+    }
+
+    /// Count one submission to `shard` (queue depth `depth`) with its
+    /// admission verdict: an admitted request takes the next request id; a
+    /// refusal counts the shed that caused it (a zero key is refused
+    /// without counting as shed).
+    fn admit_request(
+        &mut self,
+        shard: usize,
+        depth: usize,
+        admitted: Result<(), AdmitError>,
+    ) -> Result<u64, AdmitError> {
+        let m = &mut self.metrics.per_shard[shard];
+        m.submitted += 1;
+        let Err(e) = admitted else {
+            m.admitted += 1;
+            self.next_id += 1;
+            return Ok(self.next_id - 1);
+        };
+        match e {
+            AdmitError::Overloaded { .. } => m.shed_overloaded += 1,
+            AdmitError::Shed { .. } => m.shed_reads += 1,
+            AdmitError::ZeroKey => return Err(e),
+        }
+        if obs::is_enabled() {
+            obs::emit(obs::Event::Shed {
+                shard: shard as u32,
+                depth: depth as u32,
+                hard: matches!(e, AdmitError::Overloaded { .. }),
+            });
+        }
+        Err(e)
     }
 
     /// Backpressure signal in `[0, 1]` for the shard owning `key`.
@@ -527,199 +517,126 @@ impl KvService {
     }
 
     /// Advance the simulated clock one tick, flushing **at most one batch
-    /// per shard**: a shard flushes when its queue holds a full batch or
-    /// its oldest request hit the deadline. One-batch-per-tick is the
-    /// service's capacity model — sustained offered load beyond
+    /// per shard and tier**: a shard flushes when its queue holds a full
+    /// batch or its oldest request hit the deadline. One-batch-per-tick is
+    /// the service's capacity model — sustained offered load beyond
     /// `shards × max_batch` requests per tick builds queues until
     /// admission control sheds, instead of being absorbed instantly.
     /// Returns the number of requests completed this tick.
     pub fn tick(&mut self, sim: &mut SimContext) -> Result<usize, ServiceError> {
         self.clock += 1;
         obs::set_clock(self.clock);
-        let mut completed = 0;
-        // Queues cannot change mid-tick, so the due set is fixed up front;
-        // the Sim path flushes inline in visit order, the HostPar path
-        // fans the same set out to worker threads and applies results in
-        // the same order.
-        let mut due: Vec<usize> = Vec::new();
-        for shard in self.shard_visit_order() {
-            let queue = &self.shards[shard].queue;
-            let by_size = queue.len() >= self.cfg.max_batch;
-            let by_deadline = queue
-                .front()
-                .is_some_and(|p| self.clock - p.submitted_tick >= self.cfg.max_delay_ticks);
-            if !by_size && !by_deadline {
-                continue;
-            }
-            self.metrics.per_shard[shard].batches += 1;
-            if by_size {
-                self.metrics.per_shard[shard].flush_by_size += 1;
-            } else {
-                self.metrics.per_shard[shard].flush_by_deadline += 1;
-            }
-            due.push(shard);
-        }
-        match self.cfg.backend {
-            Backend::Sim => {
-                for shard in due {
-                    completed += self.flush(shard, sim)?;
-                }
-            }
-            Backend::HostPar { threads } => {
-                completed += self.flush_host_par(&due, threads, sim, false)?;
-            }
-        }
-        if self.cfg.tier == Tier::Unsized {
-            for shard in self.shard_visit_order() {
-                let queue = &self.shards[shard].byte_queue;
-                let by_size = queue.len() >= self.cfg.max_batch;
-                let by_deadline = queue
-                    .front()
-                    .is_some_and(|p| self.clock - p.submitted_tick >= self.cfg.max_delay_ticks);
-                if !by_size && !by_deadline {
-                    continue;
-                }
-                let m = &mut self.metrics.per_shard[shard];
-                m.batches += 1;
-                m.byte_batches += 1;
-                if by_size {
-                    m.flush_by_size += 1;
-                } else {
-                    m.flush_by_deadline += 1;
-                }
-                completed += self.flush_bytes(shard, sim)?;
-            }
+        // Queues cannot change mid-tick, so the due sets are fixed up front.
+        let due = self.due_shards(false);
+        let mut completed = self.flush_windows(&due, false, sim)?;
+        for shard in self.due_shards(true) {
+            completed += self.flush_bytes(shard, sim)?;
         }
         self.pump_migrations(sim)?;
         Ok(completed)
     }
 
-    /// Pump one migration quantum on every shard with a resize in flight,
-    /// so backlogs drain even on shards whose queues have gone idle. Each
-    /// pump is charged on an isolated metrics window like a flush. A no-op
-    /// in stop-the-world mode (nothing is ever left in flight).
-    fn pump_migrations(&mut self, sim: &mut SimContext) -> Result<(), ServiceError> {
-        let host_par = !self.shard_sims.is_empty();
-        for shard in 0..self.shards.len() {
-            if !self.shards[shard].table.migration_in_flight() {
-                continue;
-            }
-            let mut report = dycuckoo::BatchReport::default();
-            let (outcome, window_metrics) = {
-                let ksim: &mut SimContext = if host_par {
-                    &mut self.shard_sims[shard]
-                } else {
-                    &mut *sim
-                };
-                let saved = ksim.take_metrics();
-                let outcome = self.shards[shard].table.migrate_quantum(ksim, &mut report);
-                let wm = ksim.take_metrics();
-                ksim.metrics = saved;
-                (outcome, wm)
-            };
-            let pump_ns = CostModel::new(sim.device.config()).kernel_time_ns(&window_metrics);
-            sim.metrics.merge(&window_metrics);
-            outcome?;
-            let backlog = self.shards[shard].table.migration_backlog();
-            let m = &mut self.metrics.per_shard[shard];
-            m.service_ns += pump_ns;
-            m.migration_chunks += 1;
-            m.migration_moved += report.migrated_kvs;
-            m.migration_backlog = backlog;
-            m.resize_events += report.resizes.len() as u64;
+    /// The shards whose fixed-tier (or, with `bytes`, byte-tier) queue is
+    /// due this tick, in visit order, each counted as one batch flushed by
+    /// size or by deadline.
+    fn due_shards(&mut self, bytes: bool) -> Vec<usize> {
+        if bytes && self.cfg.tier != Tier::Unsized {
+            return Vec::new();
         }
-        // Unsized-tier drains pump on the same cadence. This loop runs
-        // second, so a shard with both tiers mid-migration settles the
-        // backlog gauge at the combined figure.
-        for shard in 0..self.shards.len() {
-            let in_flight = self.shards[shard]
-                .unsized_table
-                .as_ref()
-                .is_some_and(|t| t.migration_in_flight());
-            if !in_flight {
-                continue;
-            }
-            let (outcome, window_metrics) = {
-                let ksim: &mut SimContext = if host_par {
-                    &mut self.shard_sims[shard]
-                } else {
-                    &mut *sim
-                };
-                let saved = ksim.take_metrics();
-                let outcome = self.shards[shard]
-                    .unsized_table
-                    .as_mut()
-                    .expect("checked in flight")
-                    .pump_migration(ksim);
-                let wm = ksim.take_metrics();
-                ksim.metrics = saved;
-                (outcome, wm)
+        let mut due = Vec::new();
+        for shard in self.shard_visit_order() {
+            let s = &self.shards[shard];
+            let (len, oldest) = if bytes {
+                let front = s.byte_queue.front().map(|p| p.submitted_tick);
+                (s.byte_queue.len(), front)
+            } else {
+                (s.queue.len(), s.queue.front().map(|p| p.submitted_tick))
             };
-            let pump_ns = CostModel::new(sim.device.config()).kernel_time_ns(&window_metrics);
-            sim.metrics.merge(&window_metrics);
-            let report = outcome?;
-            let stats = self.shards[shard]
-                .unsized_table
-                .as_ref()
-                .expect("checked in flight")
-                .stats();
-            let fixed_backlog = self.shards[shard].table.migration_backlog();
-            let m = &mut self.metrics.per_shard[shard];
-            m.service_ns += pump_ns;
-            m.migration_chunks += 1;
-            m.migration_moved += report.migrated_kvs;
-            m.migration_backlog = fixed_backlog + stats.migration_backlog;
-            m.arena_pages = stats.arena_pages;
-            m.arena_live_bytes = stats.arena_live_bytes;
-            m.arena_frag_bytes = stats.arena_frag_bytes;
+            let by_size = len >= self.cfg.max_batch;
+            if by_size || oldest.is_some_and(|t| self.clock - t >= self.cfg.max_delay_ticks) {
+                self.count_batches(shard, 1, by_size, bytes);
+                due.push(shard);
+            }
+        }
+        due
+    }
+
+    /// Count `n` flush windows of one tier on `shard`.
+    fn count_batches(&mut self, shard: usize, n: u64, by_size: bool, bytes: bool) {
+        let m = &mut self.metrics.per_shard[shard];
+        m.batches += n;
+        if bytes {
+            m.byte_batches += n;
+        }
+        if by_size {
+            m.flush_by_size += n;
+        } else {
+            m.flush_by_deadline += n;
+        }
+    }
+
+    /// Pump one migration quantum per tier on every shard with a resize
+    /// in flight, so backlogs drain even on shards whose queues have gone
+    /// idle. Each pump is charged on an isolated metrics window like a
+    /// flush. A no-op in stop-the-world mode (nothing is ever left in
+    /// flight).
+    fn pump_migrations(&mut self, sim: &mut SimContext) -> Result<(), ServiceError> {
+        for shard in 0..self.shards.len() {
+            for bytes in [false, true] {
+                let s = &self.shards[shard];
+                let in_flight = if bytes {
+                    s.unsized_table
+                        .as_ref()
+                        .is_some_and(UnsizedTable::migration_in_flight)
+                } else {
+                    s.table.migration_in_flight()
+                };
+                if !in_flight {
+                    continue;
+                }
+                // Returns (entries moved, resize events retired).
+                let pump = |s: &mut Shard, ksim: &mut SimContext| -> Result<_, ServiceError> {
+                    match s.unsized_table.as_mut() {
+                        Some(t) if bytes => Ok((t.pump_migration(ksim)?.migrated_kvs, 0)),
+                        _ => {
+                            let mut report = dycuckoo::BatchReport::default();
+                            s.table.migrate_quantum(ksim, &mut report)?;
+                            Ok((report.migrated_kvs, report.resizes.len() as u64))
+                        }
+                    }
+                };
+                let (outcome, pump_ns) = self.run_isolated(shard, sim, pump);
+                let (moved, resizes) = outcome?;
+                let m = &mut self.metrics.per_shard[shard];
+                m.service_ns += pump_ns;
+                m.migration_chunks += 1;
+                m.migration_moved += moved;
+                m.resize_events += resizes;
+                self.refresh_gauges(shard, bytes);
+            }
         }
         Ok(())
     }
 
-    /// Flush every shard's remaining queue regardless of size or deadline
-    /// (end-of-run drain). Advances the clock one tick.
+    /// Flush every shard's remaining queues regardless of size or deadline
+    /// (end-of-run drain), each window counted as a deadline flush.
+    /// Advances the clock one tick.
     pub fn flush_all(&mut self, sim: &mut SimContext) -> Result<usize, ServiceError> {
         self.clock += 1;
         obs::set_clock(self.clock);
-        let mut completed = 0;
-        if let Backend::HostPar { threads } = self.cfg.backend {
-            // Each worker drains its shard's whole queue, window by
-            // window; results are applied in visit order so completions
-            // come out exactly as the Sim path emits them.
-            let due: Vec<usize> = self
-                .shard_visit_order()
-                .into_iter()
-                .filter(|&s| !self.shards[s].queue.is_empty())
-                .collect();
-            for &shard in &due {
-                let windows = self.shards[shard].queue.len().div_ceil(self.cfg.max_batch) as u64;
-                let m = &mut self.metrics.per_shard[shard];
-                m.batches += windows;
-                m.flush_by_deadline += windows;
+        let order = self.shard_visit_order();
+        let mut due = Vec::new();
+        for &shard in &order {
+            let windows = self.shards[shard].queue.len().div_ceil(self.cfg.max_batch);
+            if windows > 0 {
+                self.count_batches(shard, windows as u64, false, false);
+                due.push(shard);
             }
-            completed += self.flush_host_par(&due, threads, sim, true)?;
-            for shard in self.shard_visit_order() {
-                while !self.shards[shard].byte_queue.is_empty() {
-                    let m = &mut self.metrics.per_shard[shard];
-                    m.batches += 1;
-                    m.byte_batches += 1;
-                    m.flush_by_deadline += 1;
-                    completed += self.flush_bytes(shard, sim)?;
-                }
-            }
-            return Ok(completed);
         }
-        for shard in self.shard_visit_order() {
-            while !self.shards[shard].queue.is_empty() {
-                self.metrics.per_shard[shard].batches += 1;
-                self.metrics.per_shard[shard].flush_by_deadline += 1;
-                completed += self.flush(shard, sim)?;
-            }
+        let mut completed = self.flush_windows(&due, true, sim)?;
+        for shard in order {
             while !self.shards[shard].byte_queue.is_empty() {
-                let m = &mut self.metrics.per_shard[shard];
-                m.batches += 1;
-                m.byte_batches += 1;
-                m.flush_by_deadline += 1;
+                self.count_batches(shard, 1, false, true);
                 completed += self.flush_bytes(shard, sim)?;
             }
         }
@@ -737,63 +654,145 @@ impl KvService {
         order
     }
 
-    /// Execute one flush window for `shard`. Charges kernel time on an
-    /// isolated metrics window (restored even on error paths).
-    fn flush(&mut self, shard: usize, sim: &mut SimContext) -> Result<usize, ServiceError> {
-        let window_len = self.shards[shard].queue.len().min(self.cfg.max_batch);
-        let window: Vec<Pending> = self.shards[shard].queue.drain(..window_len).collect();
-        let plan = plan_flush(&window);
-        let _attr = obs::attr::scope_with(|| format!("service/flush/shard{shard}"));
-        let recording = obs::is_enabled();
-        if recording {
-            obs::span_begin(obs::Event::BatchFlush {
-                shard: shard as u32,
-                window: window.len() as u32,
-                probes: plan.probes.len() as u32,
-                puts: (plan.puts.len() + plan.rmws.len()) as u32,
-                deletes: plan.deletes.len() as u32,
-                coalesced: (plan.coalesced_local + plan.dedup_saved + plan.writes_coalesced) as u32,
-            });
+    /// The fixed-tier flush executor, shared by every backend, in three
+    /// steps:
+    ///
+    /// 1. **prepare** — drain and compile one window per due shard (with
+    ///    `drain_all`, every window until the queue is empty);
+    /// 2. **run** — execute each window's kernels: inline on the caller's
+    ///    context under [`Backend::Sim`], on scoped worker threads against
+    ///    the shards' own contexts under [`Backend::HostPar`];
+    /// 3. **apply** — fold each result in through
+    ///    [`KvService::apply_flush`], in visit order.
+    ///
+    /// Replies, completions, per-shard metrics, spans, attribution and the
+    /// caller's metric totals are therefore identical whichever backend
+    /// ran the kernels.
+    fn flush_windows(
+        &mut self,
+        due: &[usize],
+        drain_all: bool,
+        sim: &mut SimContext,
+    ) -> Result<usize, ServiceError> {
+        if due.is_empty() {
+            return Ok(0);
         }
-
-        // Isolated measurement window: the roofline is non-linear, so this
-        // flush's ns must be computed on its own counters.
-        let saved = sim.take_metrics();
-        let run = |table: &mut DyCuckoo, sim: &mut SimContext| -> dycuckoo::Result<FlushKernels> {
-            let found = if plan.probes.is_empty() {
-                Vec::new()
-            } else {
-                table.find_batch(sim, &plan.probes)
-            };
-            let ins = if plan.puts.is_empty() {
-                None
-            } else {
-                Some(table.insert_batch(sim, &plan.puts)?)
-            };
-            let ups = run_rmw_waves(table, sim, &plan.rmws)?;
-            let del = if plan.deletes.is_empty() {
-                None
-            } else {
-                Some(table.delete_batch(sim, &plan.deletes)?)
-            };
-            Ok((found, ins, ups, del))
+        let mut prepped: Vec<(usize, Vec<PreparedWindow>)> = Vec::with_capacity(due.len());
+        for &shard in due {
+            let queue = &mut self.shards[shard].queue;
+            let mut windows = Vec::new();
+            loop {
+                let window_len = queue.len().min(self.cfg.max_batch);
+                let window: Vec<Pending> = queue.drain(..window_len).collect();
+                let plan = plan_flush(&window);
+                windows.push(PreparedWindow { window, plan });
+                if !drain_all || queue.is_empty() {
+                    break;
+                }
+            }
+            prepped.push((shard, windows));
+        }
+        let results: Vec<Vec<FlushKernelResult>> = match self.cfg.backend {
+            // Inline, inside the window's attribution scope and span so the
+            // kernels' charges and recorder events land in place; the
+            // caller's attribution session is not restarted.
+            Backend::Sim => prepped
+                .iter()
+                .map(|(shard, windows)| {
+                    let table = &mut self.shards[*shard].table;
+                    windows
+                        .iter()
+                        .map(|w| {
+                            let _attr = flush_scope(*shard);
+                            w.span_begin(*shard);
+                            let r = run_flush_kernels(table, sim, &w.plan, false);
+                            span_end(w.window.len(), r.outcome.is_ok());
+                            r
+                        })
+                        .collect()
+                })
+                .collect(),
+            Backend::HostPar { threads } => self.run_flush_waves(&prepped, threads),
         };
-        let outcome = run(&mut self.shards[shard].table, sim);
-        let window_metrics = sim.take_metrics();
-        let flush_ns = CostModel::new(sim.device.config()).kernel_time_ns(&window_metrics);
-        sim.metrics = saved;
-        sim.metrics.merge(&window_metrics);
-        if recording {
-            // Close before the `?` so the span balances on kernel errors.
-            obs::span_end(obs::Event::BatchEnd {
-                completed: if outcome.is_ok() {
-                    window.len() as u32
-                } else {
-                    0
-                },
-            });
+        let mut completed = 0;
+        for ((shard, windows), shard_results) in prepped.into_iter().zip(results) {
+            for (w, r) in windows.into_iter().zip(shard_results) {
+                completed += self.apply_flush(shard, w, r, sim)?;
+            }
         }
-        let (found, ins, ups, del) = outcome?;
+        Ok(completed)
+    }
+
+    /// The [`Backend::HostPar`] run step: one worker per shard runs that
+    /// shard's windows in order against the shard's own [`SimContext`],
+    /// in waves of at most `threads` workers.
+    fn run_flush_waves(
+        &mut self,
+        prepped: &[(usize, Vec<PreparedWindow>)],
+        threads: usize,
+    ) -> Vec<Vec<FlushKernelResult>> {
+        let profile = obs::attr::is_enabled();
+        // Hand each worker exclusive &mut access to its shard's table and
+        // context; `take` makes aliasing impossible by construction.
+        let mut cells: Vec<Option<(&mut DyCuckoo, &mut SimContext)>> = self
+            .shards
+            .iter_mut()
+            .zip(self.shard_sims.iter_mut())
+            .map(|(s, ksim)| Some((&mut s.table, ksim)))
+            .collect();
+        let mut results: Vec<Vec<FlushKernelResult>> = Vec::with_capacity(prepped.len());
+        for wave in prepped.chunks(threads.max(1)) {
+            results.extend(std::thread::scope(|scope| {
+                let handles: Vec<_> = wave
+                    .iter()
+                    .map(|(shard, windows)| {
+                        let (table, ksim) =
+                            cells[*shard].take().expect("duplicate shard in flush wave");
+                        scope.spawn(move || {
+                            let run = |w: &PreparedWindow| {
+                                run_flush_kernels(table, ksim, &w.plan, profile)
+                            };
+                            windows.iter().map(run).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("host-par flush worker panicked"))
+                    .collect::<Vec<_>>()
+            }));
+        }
+        results
+    }
+
+    /// The apply step of [`KvService::flush_windows`] for one window, on
+    /// the coordinator in visit order: metric merge, attribution, span,
+    /// per-shard metrics, completions and filter replay. Every fixed-tier
+    /// window ends here.
+    fn apply_flush(
+        &mut self,
+        shard: usize,
+        w: PreparedWindow,
+        r: FlushKernelResult,
+        sim: &mut SimContext,
+    ) -> Result<usize, ServiceError> {
+        // The caller's running totals receive the window's isolated
+        // counters.
+        sim.metrics.merge(&r.window_metrics);
+        let _attr = flush_scope(shard);
+        // Worker-side kernel charges re-root under this flush's scope, so
+        // attribution paths match an inline run's (which charged in place
+        // and hands over an empty tree).
+        obs::attr::absorb(&r.attr);
+        if !self.shard_sims.is_empty() {
+            // Workers cannot reach the thread-local recorder, so the span
+            // is emitted here; begin and end are adjacent because the
+            // kernel time already passed.
+            w.span_begin(shard);
+            span_end(w.window.len(), r.outcome.is_ok());
+        }
+        let (found, ins, ups, del) = r.outcome?;
+        let PreparedWindow { window, plan } = w;
 
         let m = &mut self.metrics.per_shard[shard];
         m.batched_requests += window.len() as u64;
@@ -805,7 +804,7 @@ impl KvService {
         m.coalesced_local += plan.coalesced_local;
         m.dedup_saved += plan.dedup_saved;
         m.writes_coalesced += plan.writes_coalesced;
-        m.service_ns += flush_ns;
+        m.service_ns += r.flush_ns;
         for report in [&ins, &del]
             .into_iter()
             .flatten()
@@ -821,7 +820,6 @@ impl KvService {
                 m.migration_chunks += 1;
             }
         }
-        m.migration_backlog = self.shards[shard].table.migration_backlog();
 
         let filter_on = self.shards[shard].filter.is_some();
         let completed_tick = self.clock;
@@ -879,317 +877,52 @@ impl KvService {
             m.filter_keys = filter.keys();
             m.filter_rebuilds = filter.rebuilds();
         }
+        self.refresh_gauges(shard, false);
         Ok(window.len())
     }
 
-    /// Execute the due shards' flush windows on worker threads (the
-    /// [`Backend::HostPar`] path). The coordinator compiles every window
-    /// up front, one worker per shard runs that shard's windows in order
-    /// against the shard's own [`SimContext`] (waves of at most
-    /// `threads` workers), and results are applied in visit order — so
-    /// replies, completions, per-shard metrics, spans, and the caller's
-    /// metric totals are identical to the Sim path by construction. With
-    /// `drain_all`, every shard's queue is drained to empty (the
-    /// [`KvService::flush_all`] contract); otherwise one window each.
-    fn flush_host_par(
-        &mut self,
-        due: &[usize],
-        threads: usize,
-        sim: &mut SimContext,
-        drain_all: bool,
-    ) -> Result<usize, ServiceError> {
-        if due.is_empty() {
-            return Ok(0);
-        }
-        let mut prepped: Vec<(usize, Vec<PreparedWindow>)> = Vec::with_capacity(due.len());
-        for &shard in due {
-            let mut windows = Vec::new();
-            loop {
-                let window_len = self.shards[shard].queue.len().min(self.cfg.max_batch);
-                let window: Vec<Pending> = self.shards[shard].queue.drain(..window_len).collect();
-                let plan = plan_flush(&window);
-                windows.push(PreparedWindow { window, plan });
-                if !drain_all || self.shards[shard].queue.is_empty() {
-                    break;
-                }
-            }
-            prepped.push((shard, windows));
-        }
-        let profile = obs::attr::is_enabled();
-        // Hand each worker exclusive &mut access to its shard's table and
-        // context; `take` makes aliasing impossible by construction.
-        let mut cells: Vec<Option<(&mut Shard, &mut SimContext)>> = self
-            .shards
-            .iter_mut()
-            .zip(self.shard_sims.iter_mut())
-            .map(Some)
-            .collect();
-        let mut results: Vec<Vec<FlushKernelResult>> = Vec::with_capacity(prepped.len());
-        for wave in prepped.chunks(threads.max(1)) {
-            let wave_results: Vec<Vec<FlushKernelResult>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .map(|(shard, windows)| {
-                        let (shard_state, ksim) =
-                            cells[*shard].take().expect("duplicate shard in flush wave");
-                        scope.spawn(move || {
-                            windows
-                                .iter()
-                                .map(|w| {
-                                    run_flush_kernels(
-                                        &mut shard_state.table,
-                                        ksim,
-                                        &w.plan,
-                                        profile,
-                                    )
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("host-par flush worker panicked"))
-                    .collect()
-            });
-            results.extend(wave_results);
-        }
-        drop(cells);
-        let mut completed = 0;
-        for ((shard, windows), shard_results) in prepped.into_iter().zip(results) {
-            for (w, r) in windows.into_iter().zip(shard_results) {
-                completed += self.apply_flush(shard, w.window, w.plan, r, sim)?;
-            }
-        }
-        Ok(completed)
-    }
-
-    /// Coordinator-side application of one worker-run flush window:
-    /// metric merges, spans, attribution absorption, completions, filter
-    /// replay — the exact post-kernel tail of [`KvService::flush`],
-    /// executed in visit order at the quiesce point.
-    fn apply_flush(
-        &mut self,
-        shard: usize,
-        window: Vec<Pending>,
-        plan: FlushPlan,
-        r: FlushKernelResult,
-        sim: &mut SimContext,
-    ) -> Result<usize, ServiceError> {
-        // The caller's running totals receive the same isolated window
-        // the Sim path merges.
-        sim.metrics.merge(&r.window_metrics);
-        let _attr = obs::attr::scope_with(|| format!("service/flush/shard{shard}"));
-        // Worker-side kernel charges re-root under this flush's scope, so
-        // attribution paths match the Sim backend's exactly.
-        obs::attr::absorb(&r.attr);
-        let recording = obs::is_enabled();
-        if recording {
-            // Spans are emitted at the apply point (recorder state is
-            // thread-local, so workers cannot emit them); begin and end
-            // are adjacent because the kernel time already passed.
-            obs::span_begin(obs::Event::BatchFlush {
-                shard: shard as u32,
-                window: window.len() as u32,
-                probes: plan.probes.len() as u32,
-                puts: (plan.puts.len() + plan.rmws.len()) as u32,
-                deletes: plan.deletes.len() as u32,
-                coalesced: (plan.coalesced_local + plan.dedup_saved + plan.writes_coalesced) as u32,
-            });
-            obs::span_end(obs::Event::BatchEnd {
-                completed: if r.outcome.is_ok() {
-                    window.len() as u32
-                } else {
-                    0
-                },
-            });
-        }
-        let (found, ins, ups, del) = r.outcome?;
-
-        let m = &mut self.metrics.per_shard[shard];
-        m.batched_requests += window.len() as u64;
-        m.table_probes += plan.probes.len() as u64;
-        m.table_puts += (plan.puts.len() + plan.rmws.len()) as u64;
-        m.table_deletes += plan.deletes.len() as u64;
-        m.coalesced_local += plan.coalesced_local;
-        m.dedup_saved += plan.dedup_saved;
-        m.writes_coalesced += plan.writes_coalesced;
-        m.service_ns += r.flush_ns;
-        for report in [&ins, &del]
-            .into_iter()
-            .flatten()
-            .chain(ups.iter().map(|u| &u.batch))
-        {
-            m.resize_events += report.resizes.len() as u64;
-            m.insert_retries += report.retries as u64;
-            if report.resize_stall() {
-                m.resize_stall_batches += 1;
-            }
-            m.migration_moved += report.migrated_kvs;
-            if report.migrated_buckets > 0 {
-                m.migration_chunks += 1;
-            }
-        }
-        m.migration_backlog = self.shards[shard].table.migration_backlog();
-
-        let filter_on = self.shards[shard].filter.is_some();
-        let completed_tick = self.clock;
-        for (req, planned) in window.iter().zip(&plan.replies) {
-            let (reply, coalesced) = match planned {
-                PlannedReply::FromTable(idx) => {
-                    if filter_on && found[*idx].is_none() {
-                        m.filter_false_pos += 1;
-                    }
-                    (Reply::Value(found[*idx]), false)
-                }
-                PlannedReply::FromTableRmw(idx, chain) => (
-                    Reply::Value(MergeRule::apply_chain(chain, found[*idx])),
-                    false,
-                ),
-                PlannedReply::Local(v) => (Reply::Value(*v), true),
-                PlannedReply::Stored => (Reply::Stored, false),
-                PlannedReply::Deleted => (Reply::Deleted, false),
-                PlannedReply::Merged => (Reply::Merged, false),
-            };
-            m.completed += 1;
-            m.latency.record(completed_tick - req.submitted_tick);
-            self.completions.push_back(Completion {
-                id: req.id,
-                client: req.client,
-                key: req.op.key(),
-                reply,
-                submitted_tick: req.submitted_tick,
-                completed_tick,
-                coalesced,
-            });
-        }
-        if let Some(filter) = self.shards[shard].filter.as_mut() {
-            for req in &window {
-                match req.op {
-                    Op::Put(k, _) => filter.insert(k),
-                    Op::Delete(k) => filter.remove(k),
-                    Op::Upsert(k, _, _) | Op::Increment(k) => filter.insert(k),
-                    Op::Get(_) => {}
-                }
-            }
-            m.filter_keys = filter.keys();
-            m.filter_rebuilds = filter.rebuilds();
-        }
-        Ok(window.len())
-    }
-
-    /// Execute one byte-tier flush window for `shard`. The window is cut
-    /// into maximal runs of one op kind, each run becomes one kernel
-    /// batch (runs execute in submission order, so a read after a write
-    /// of the same key observes it), and duplicate keys inside a put run
-    /// coalesce to the last write. Kernel time is charged on an isolated
-    /// metrics window exactly like the fixed-tier flush.
+    /// Execute one byte-tier flush window for `shard`: compile it with
+    /// [`plan_byte_window`], run the plan's kernels on the shard's kernel
+    /// context (the coordinator's thread under either backend), and emit
+    /// completions in submission order.
     fn flush_bytes(&mut self, shard: usize, sim: &mut SimContext) -> Result<usize, ServiceError> {
         let window_len = self.shards[shard].byte_queue.len().min(self.cfg.max_batch);
         let window: Vec<BytePending> = self.shards[shard].byte_queue.drain(..window_len).collect();
-        let _attr = obs::attr::scope_with(|| format!("service/flush/shard{shard}"));
-        let recording = obs::is_enabled();
-        if recording {
-            // Plan counts for the span: raw reads/deletes, deduped puts.
-            let (mut probes, mut puts, mut coalesced, mut deletes) = (0u32, 0u32, 0u32, 0u32);
-            let mut seen: HashSet<&[u8]> = HashSet::new();
-            let mut in_put_run = false;
-            for p in &window {
-                match &p.op {
-                    ByteOp::Put(k, _) => {
-                        if !in_put_run {
-                            seen.clear();
-                            in_put_run = true;
-                        }
-                        if seen.insert(k.as_slice()) {
-                            puts += 1;
-                        } else {
-                            coalesced += 1;
-                        }
-                    }
-                    ByteOp::Get(_) => {
-                        probes += 1;
-                        in_put_run = false;
-                    }
-                    ByteOp::Delete(_) => {
-                        deletes += 1;
-                        in_put_run = false;
-                    }
-                }
-            }
-            obs::span_begin(obs::Event::BatchFlush {
-                shard: shard as u32,
-                window: window.len() as u32,
-                probes,
-                puts,
-                deletes,
-                coalesced,
-            });
-        }
+        let plan = plan_byte_window(&window);
+        let _attr = flush_scope(shard);
+        span_begin(
+            shard,
+            window_len,
+            plan.probes,
+            plan.puts,
+            plan.deletes,
+            plan.coalesced,
+        );
+        let (outcome, flush_ns) = self.run_isolated(shard, sim, |s, ksim| {
+            let table = s
+                .unsized_table
+                .as_mut()
+                .expect("byte flush requires the unsized tier");
+            run_byte_plan(table, ksim, &plan)
+        });
+        span_end(window_len, outcome.is_ok());
+        let (replies, report) = outcome?;
 
-        // Host-par services run byte-tier kernels on the shard's own
-        // context (coordinator thread, sequentially); Sim uses the
-        // caller's. Either way the isolated window merges into the
-        // caller's running totals.
-        let host_par = !self.shard_sims.is_empty();
-        let (outcome, window_metrics) = {
-            let ksim: &mut SimContext = if host_par {
-                &mut self.shard_sims[shard]
-            } else {
-                &mut *sim
-            };
-            let saved = ksim.take_metrics();
-            let outcome = run_byte_window(
-                self.shards[shard]
-                    .unsized_table
-                    .as_mut()
-                    .expect("byte flush requires the unsized tier"),
-                ksim,
-                &window,
-            );
-            let wm = ksim.take_metrics();
-            ksim.metrics = saved;
-            (outcome, wm)
-        };
-        let flush_ns = CostModel::new(sim.device.config()).kernel_time_ns(&window_metrics);
-        sim.metrics.merge(&window_metrics);
-        if recording {
-            obs::span_end(obs::Event::BatchEnd {
-                completed: if outcome.is_ok() {
-                    window.len() as u32
-                } else {
-                    0
-                },
-            });
-        }
-        let out = outcome?;
-
-        let stats = self.shards[shard]
-            .unsized_table
-            .as_ref()
-            .expect("present")
-            .stats();
-        let fixed_backlog = self.shards[shard].table.migration_backlog();
         let m = &mut self.metrics.per_shard[shard];
-        m.batched_requests += window.len() as u64;
-        m.table_probes += out.probes;
-        m.table_puts += out.puts;
-        m.table_deletes += out.deletes;
-        m.writes_coalesced += out.writes_coalesced;
+        m.batched_requests += window_len as u64;
+        m.table_probes += plan.probes as u64;
+        m.table_puts += plan.puts as u64;
+        m.table_deletes += plan.deletes as u64;
+        m.writes_coalesced += plan.coalesced;
         m.service_ns += flush_ns;
-        m.resize_events += out.report.resizes;
-        m.insert_retries += out.report.retries;
-        m.migration_moved += out.report.migrated_kvs;
-        if out.report.migrated_buckets > 0 {
+        m.resize_events += report.resizes;
+        m.insert_retries += report.retries;
+        m.migration_moved += report.migrated_kvs;
+        if report.migrated_buckets > 0 {
             m.migration_chunks += 1;
         }
-        m.migration_backlog = fixed_backlog + stats.migration_backlog;
-        m.arena_pages = stats.arena_pages;
-        m.arena_live_bytes = stats.arena_live_bytes;
-        m.arena_frag_bytes = stats.arena_frag_bytes;
-
         let completed_tick = self.clock;
-        for (req, reply) in window.into_iter().zip(out.replies) {
+        for (req, reply) in window.into_iter().zip(replies) {
             m.completed += 1;
             m.latency.record(completed_tick - req.submitted_tick);
             let key = match req.op {
@@ -1204,7 +937,43 @@ impl KvService {
                 completed_tick,
             });
         }
+        self.refresh_gauges(shard, true);
         Ok(window_len)
+    }
+
+    /// Run `f` on `shard` against the shard's kernel context in an
+    /// isolated metrics window, fold the window into the caller's running
+    /// totals, and return `f`'s result with the window's kernel time.
+    fn run_isolated<T>(
+        &mut self,
+        shard: usize,
+        sim: &mut SimContext,
+        f: impl FnOnce(&mut Shard, &mut SimContext) -> T,
+    ) -> (T, f64) {
+        let ksim = kernel_sim(&mut self.shard_sims, shard, sim);
+        let (out, window) = isolated(ksim, |ksim| f(&mut self.shards[shard], ksim));
+        let ns = CostModel::new(sim.device.config()).kernel_time_ns(&window);
+        sim.metrics.merge(&window);
+        (out, ns)
+    }
+
+    /// Re-read `shard`'s table gauges after a flush or pump. Every write
+    /// of `migration_backlog` goes through here, so the gauge always holds
+    /// the combined fixed + byte backlog; `arena` also refreshes the byte
+    /// tier's arena gauges.
+    fn refresh_gauges(&mut self, shard: usize, arena: bool) {
+        let s = &self.shards[shard];
+        let m = &mut self.metrics.per_shard[shard];
+        m.migration_backlog = s.table.migration_backlog();
+        if let Some(t) = &s.unsized_table {
+            m.migration_backlog += t.migration_backlog();
+            if arena {
+                let stats = t.stats();
+                m.arena_pages = stats.arena_pages;
+                m.arena_live_bytes = stats.arena_live_bytes;
+                m.arena_frag_bytes = stats.arena_frag_bytes;
+            }
+        }
     }
 
     /// Take every completion produced so far, in completion order
@@ -1277,13 +1046,8 @@ impl KvService {
         // Host-par shards allocated on their own contexts, so their bytes
         // return there; Sim shards return to the caller's.
         let mut shard_sims = self.shard_sims;
-        let host_par = !shard_sims.is_empty();
         for (i, shard) in self.shards.into_iter().enumerate() {
-            let ksim: &mut SimContext = if host_par {
-                &mut shard_sims[i]
-            } else {
-                &mut *sim
-            };
+            let ksim = kernel_sim(&mut shard_sims, i, sim);
             shard.table.release(ksim)?;
             if let Some(t) = shard.unsized_table {
                 t.release(ksim)?;
@@ -1297,6 +1061,85 @@ impl KvService {
 struct PreparedWindow {
     window: Vec<Pending>,
     plan: FlushPlan,
+}
+
+impl PreparedWindow {
+    /// Open this window's `BatchFlush` span.
+    fn span_begin(&self, shard: usize) {
+        let p = &self.plan;
+        span_begin(
+            shard,
+            self.window.len(),
+            p.probes.len(),
+            p.puts.len() + p.rmws.len(),
+            p.deletes.len(),
+            p.coalesced_local + p.dedup_saved + p.writes_coalesced,
+        );
+    }
+}
+
+/// Open a flush window's `BatchFlush` span (a no-op unless recording).
+fn span_begin(
+    shard: usize,
+    window: usize,
+    probes: usize,
+    puts: usize,
+    deletes: usize,
+    coalesced: u64,
+) {
+    if obs::is_enabled() {
+        obs::span_begin(obs::Event::BatchFlush {
+            shard: shard as u32,
+            window: window as u32,
+            probes: probes as u32,
+            puts: puts as u32,
+            deletes: deletes as u32,
+            coalesced: coalesced as u32,
+        });
+    }
+}
+
+/// Close a flush window's span: the whole window completed, or none of
+/// it on a kernel error (closed before the error propagates, so the span
+/// balances).
+fn span_end(window: usize, ok: bool) {
+    if obs::is_enabled() {
+        obs::span_end(obs::Event::BatchEnd {
+            completed: if ok { window as u32 } else { 0 },
+        });
+    }
+}
+
+/// The attribution scope every flush of `shard` charges under.
+fn flush_scope(shard: usize) -> obs::attr::Scope {
+    obs::attr::scope_with(|| format!("service/flush/shard{shard}"))
+}
+
+/// The context `shard`'s kernels run on and its device bytes live in:
+/// the shard's own under [`Backend::HostPar`], the caller's under
+/// [`Backend::Sim`] (where `shard_sims` is empty).
+fn kernel_sim<'a>(
+    shard_sims: &'a mut [SimContext],
+    shard: usize,
+    sim: &'a mut SimContext,
+) -> &'a mut SimContext {
+    match shard_sims.get_mut(shard) {
+        Some(s) => s,
+        None => sim,
+    }
+}
+
+/// Run `f` on `ksim` in an isolated metrics window — the roofline is
+/// non-linear, so a window's ns must be computed on its own counters.
+/// `ksim.metrics` is restored afterwards; the window is returned.
+fn isolated<T>(
+    ksim: &mut SimContext,
+    f: impl FnOnce(&mut SimContext) -> T,
+) -> (T, gpu_sim::Metrics) {
+    let saved = ksim.take_metrics();
+    let out = f(ksim);
+    let window = std::mem::replace(&mut ksim.metrics, saved);
+    (out, window)
 }
 
 /// The kernels of one fixed-tier flush window: find results, then the
@@ -1339,22 +1182,23 @@ fn run_rmw_waves(
     Ok(reports)
 }
 
-/// What one window's kernels produced on a host-par worker thread.
+/// What one window's kernels produced.
 struct FlushKernelResult {
     outcome: dycuckoo::Result<FlushKernels>,
     /// The isolated metrics window the kernels charged.
     window_metrics: gpu_sim::Metrics,
     /// Roofline kernel time of that window.
     flush_ns: f64,
-    /// The worker's thread-local attribution window (empty when
-    /// profiling is off).
+    /// The thread-local attribution window collected with `profile` (empty
+    /// otherwise).
     attr: obs::attr::Attribution,
 }
 
 /// Run one compiled window's kernels against `table` on `ksim`, charging
-/// an isolated metrics window (restored afterwards, so `ksim.metrics`
-/// is untouched). Thread-safe given exclusive access to both — this is
-/// the function host-par workers execute.
+/// an isolated metrics window (`ksim.metrics` is untouched). Thread-safe
+/// given exclusive access to both — host-par workers run it with
+/// `profile` set to collect their own attribution; inline runs charge the
+/// caller's session in place.
 fn run_flush_kernels(
     table: &mut DyCuckoo,
     ksim: &mut SimContext,
@@ -1364,8 +1208,7 @@ fn run_flush_kernels(
     if profile {
         obs::attr::start();
     }
-    let saved = ksim.take_metrics();
-    let run = |table: &mut DyCuckoo, sim: &mut SimContext| -> dycuckoo::Result<FlushKernels> {
+    let (outcome, window_metrics) = isolated(ksim, |sim| {
         let found = if plan.probes.is_empty() {
             Vec::new()
         } else {
@@ -1383,10 +1226,7 @@ fn run_flush_kernels(
             Some(table.delete_batch(sim, &plan.deletes)?)
         };
         Ok((found, ins, ups, del))
-    };
-    let outcome = run(table, ksim);
-    let window_metrics = ksim.take_metrics();
-    ksim.metrics = saved;
+    });
     let flush_ns = CostModel::new(ksim.device.config()).kernel_time_ns(&window_metrics);
     let attr = if profile {
         obs::attr::stop()
@@ -1401,105 +1241,114 @@ fn run_flush_kernels(
     }
 }
 
-/// What one byte-tier flush window produced.
-struct ByteFlushOutcome {
-    /// One reply per window request, in submission order.
-    replies: Vec<ByteReply>,
-    /// Merged kernel reports (resizes, retries, migration work).
-    report: UnsizedReport,
+/// A byte-tier window compiled into kernel batches: maximal runs of one
+/// op kind, executed in submission order (so a read after a write of the
+/// same key observes it). Duplicate keys inside a put run collapse to the
+/// last write (every such put still answers `Stored` — upsert semantics
+/// make the outcomes identical); duplicate gets and deletes need no
+/// dedup, the kernels serialize them.
+#[derive(Default)]
+struct BytePlan<'w> {
+    runs: Vec<ByteRun<'w>>,
     /// Keys handed to find kernels.
-    probes: u64,
+    probes: usize,
     /// Pairs handed to insert kernels (after put-run coalescing).
-    puts: u64,
+    puts: usize,
     /// Keys handed to delete kernels.
-    deletes: u64,
-    /// Puts superseded inside their run (never reached a kernel).
-    writes_coalesced: u64,
+    deletes: usize,
+    /// Puts superseded inside their run (never reach a kernel).
+    coalesced: u64,
 }
 
-/// Run a byte-tier window against `table`: maximal same-kind runs become
-/// one kernel batch each, executed in submission order. Duplicate keys
-/// inside a put run collapse to the last write (every such put still
-/// answers `Stored` — upsert semantics make the outcomes identical);
-/// duplicate gets and deletes need no dedup, the kernels serialize them.
-fn run_byte_window(
-    table: &mut UnsizedTable,
-    sim: &mut SimContext,
-    window: &[BytePending],
-) -> dycuckoo::Result<ByteFlushOutcome> {
-    fn kind(op: &ByteOp) -> u8 {
-        match op {
-            ByteOp::Put(..) => 0,
-            ByteOp::Get(_) => 1,
-            ByteOp::Delete(_) => 2,
-        }
-    }
-    let mut out = ByteFlushOutcome {
-        replies: Vec::new(),
-        report: UnsizedReport::default(),
-        probes: 0,
-        puts: 0,
-        deletes: 0,
-        writes_coalesced: 0,
-    };
-    let mut replies: Vec<Option<ByteReply>> = vec![None; window.len()];
-    let mut start = 0;
-    while start < window.len() {
-        let k = kind(&window[start].op);
-        let mut end = start;
-        while end < window.len() && kind(&window[end].op) == k {
-            end += 1;
-        }
-        match k {
-            0 => {
-                let mut pairs: Vec<(&[u8], &[u8])> = Vec::new();
-                let mut slot_of: HashMap<&[u8], usize> = HashMap::new();
-                for p in &window[start..end] {
-                    let ByteOp::Put(key, val) = &p.op else {
-                        unreachable!("run holds only puts")
-                    };
-                    match slot_of.get(key.as_slice()) {
-                        Some(&s) => {
-                            pairs[s].1 = val;
-                            out.writes_coalesced += 1;
-                        }
-                        None => {
-                            slot_of.insert(key, pairs.len());
-                            pairs.push((key, val));
-                        }
+/// One same-kind run of a byte window, as its kernel receives it.
+enum ByteRun<'w> {
+    /// The run's coalesced pairs, answering `requests` puts.
+    Put {
+        pairs: Vec<(&'w [u8], &'w [u8])>,
+        requests: usize,
+    },
+    Get(Vec<&'w [u8]>),
+    Delete(Vec<&'w [u8]>),
+}
+
+/// Compile a byte-tier window into its [`BytePlan`].
+fn plan_byte_window(window: &[BytePending]) -> BytePlan<'_> {
+    let mut plan = BytePlan::default();
+    // Pair index of each key in the current put run.
+    let mut slot_of: HashMap<&[u8], usize> = HashMap::new();
+    for p in window {
+        match (&p.op, plan.runs.last_mut()) {
+            (ByteOp::Put(key, val), Some(ByteRun::Put { pairs, requests })) => {
+                *requests += 1;
+                match slot_of.get(key.as_slice()) {
+                    Some(&s) => {
+                        pairs[s].1 = val;
+                        plan.coalesced += 1;
+                    }
+                    None => {
+                        slot_of.insert(key, pairs.len());
+                        pairs.push((key, val));
+                        plan.puts += 1;
                     }
                 }
-                out.puts += pairs.len() as u64;
-                out.report.merge(&table.insert_batch(sim, &pairs)?);
-                for r in &mut replies[start..end] {
-                    *r = Some(ByteReply::Stored);
+            }
+            (ByteOp::Put(key, val), _) => {
+                slot_of.clear();
+                slot_of.insert(key, 0);
+                let pairs = vec![(key.as_slice(), val.as_slice())];
+                plan.runs.push(ByteRun::Put { pairs, requests: 1 });
+                plan.puts += 1;
+            }
+            (ByteOp::Get(key), run) => {
+                plan.probes += 1;
+                match run {
+                    Some(ByteRun::Get(keys)) => keys.push(key),
+                    _ => plan.runs.push(ByteRun::Get(vec![key])),
                 }
             }
-            1 => {
-                let keys: Vec<&[u8]> = window[start..end].iter().map(|p| p.op.key()).collect();
-                out.probes += keys.len() as u64;
-                let found = table.find_batch(sim, &keys)?;
-                for (i, v) in (start..end).zip(found) {
-                    replies[i] = Some(ByteReply::Value(v));
-                }
-            }
-            _ => {
-                let keys: Vec<&[u8]> = window[start..end].iter().map(|p| p.op.key()).collect();
-                out.deletes += keys.len() as u64;
-                let (removed, report) = table.delete_batch(sim, &keys)?;
-                out.report.merge(&report);
-                for (i, r) in (start..end).zip(removed) {
-                    replies[i] = Some(ByteReply::Deleted(r));
+            (ByteOp::Delete(key), run) => {
+                plan.deletes += 1;
+                match run {
+                    Some(ByteRun::Delete(keys)) => keys.push(key),
+                    _ => plan.runs.push(ByteRun::Delete(vec![key])),
                 }
             }
         }
-        start = end;
     }
-    out.replies = replies
-        .into_iter()
-        .map(|r| r.expect("every request answered"))
-        .collect();
-    Ok(out)
+    plan
+}
+
+/// Execute a compiled byte window's runs against `table`, in order: one
+/// reply per window request, plus the merged kernel reports.
+fn run_byte_plan(
+    table: &mut UnsizedTable,
+    sim: &mut SimContext,
+    plan: &BytePlan,
+) -> dycuckoo::Result<(Vec<ByteReply>, UnsizedReport)> {
+    let mut replies = Vec::new();
+    let mut report = UnsizedReport::default();
+    for run in &plan.runs {
+        match run {
+            ByteRun::Put { pairs, requests } => {
+                report.merge(&table.insert_batch(sim, pairs)?);
+                replies.extend(std::iter::repeat_n(ByteReply::Stored, *requests));
+            }
+            ByteRun::Get(keys) => {
+                replies.extend(
+                    table
+                        .find_batch(sim, keys)?
+                        .into_iter()
+                        .map(ByteReply::Value),
+                );
+            }
+            ByteRun::Delete(keys) => {
+                let (removed, r) = table.delete_batch(sim, keys)?;
+                report.merge(&r);
+                replies.extend(removed.into_iter().map(ByteReply::Deleted));
+            }
+        }
+    }
+    Ok((replies, report))
 }
 
 #[cfg(test)]
@@ -2099,11 +1948,24 @@ mod tests {
         assert!(!comp_a.is_empty());
     }
 
-    /// Drive an identical workload through a configurable backend and
-    /// return everything observable: completions, byte completions, and
-    /// the snapshot CSV (which folds in per-shard metrics and kernel ns).
-    fn backend_probe(backend: Backend) -> (Vec<Completion>, Vec<ByteCompletion>, String, u64) {
+    /// Everything observable about one [`backend_probe`] run.
+    struct ProbeRun {
+        completions: Vec<Completion>,
+        byte_completions: Vec<ByteCompletion>,
+        /// The snapshot CSV (folds in per-shard metrics and kernel ns).
+        csv: String,
+        keys: u64,
+        /// The caller's attribution tree over the whole run.
+        attr: obs::attr::Attribution,
+        /// The caller's running metric totals.
+        caller_metrics: String,
+    }
+
+    /// Drive an identical workload through a configurable backend, with
+    /// attribution on, and return everything observable.
+    fn backend_probe(backend: Backend) -> ProbeRun {
         let mut sim = SimContext::new();
+        obs::attr::start();
         let mut cfg = unsized_cfg(4);
         cfg.backend = backend;
         cfg.miss_filter_bits = 8;
@@ -2137,12 +1999,16 @@ mod tests {
             guard += 1;
             assert!(guard < 10_000, "migration never settled");
         }
-        let csv = svc.snapshot().to_csv();
-        let keys = svc.total_keys();
-        let fixed = svc.drain_completions();
-        let bytes = svc.drain_byte_completions();
+        let run = ProbeRun {
+            completions: svc.drain_completions(),
+            byte_completions: svc.drain_byte_completions(),
+            csv: svc.snapshot().to_csv(),
+            keys: svc.total_keys(),
+            attr: obs::attr::stop(),
+            caller_metrics: format!("{:?}", sim.metrics),
+        };
         svc.release(&mut sim).unwrap();
-        (fixed, bytes, csv, keys)
+        run
     }
 
     #[test]
@@ -2150,11 +2016,60 @@ mod tests {
         let sim_run = backend_probe(Backend::Sim);
         for threads in [1usize, 2, 8] {
             let par_run = backend_probe(Backend::HostPar { threads });
-            assert_eq!(par_run.0, sim_run.0, "{threads} threads: completions");
-            assert_eq!(par_run.1, sim_run.1, "{threads} threads: byte completions");
-            assert_eq!(par_run.2, sim_run.2, "{threads} threads: snapshot CSV");
-            assert_eq!(par_run.3, sim_run.3, "{threads} threads: total keys");
+            let t = format!("{threads} threads");
+            assert_eq!(par_run.completions, sim_run.completions, "{t}: completions");
+            assert_eq!(
+                par_run.byte_completions, sim_run.byte_completions,
+                "{t}: byte completions"
+            );
+            assert_eq!(par_run.csv, sim_run.csv, "{t}: snapshot CSV");
+            assert_eq!(par_run.keys, sim_run.keys, "{t}: total keys");
+            // Worker charges re-root at the same paths the inline run
+            // charges, and the caller's totals see the same windows.
+            assert_eq!(par_run.attr, sim_run.attr, "{t}: attribution tree");
+            assert_eq!(
+                par_run.caller_metrics, sim_run.caller_metrics,
+                "{t}: caller metrics"
+            );
         }
+    }
+
+    /// The backlog gauge holds the combined fixed + byte backlog whichever
+    /// tier flushed last: a fixed-tier flush must not hide a byte-tier
+    /// migration still in flight.
+    #[test]
+    fn backlog_gauge_keeps_byte_migration_across_fixed_flush() {
+        let mut sim = SimContext::new();
+        let mut cfg = unsized_cfg(1);
+        cfg.unsized_table.n_buckets = 4;
+        cfg.unsized_table.max_load = 0.5;
+        cfg.migration_quantum = 1;
+        let mut svc = KvService::new(cfg, &mut sim).unwrap();
+        let mut i = 1u32;
+        while svc.metrics().per_shard[0].migration_backlog == 0 {
+            // Odd keys spill into the arena.
+            svc.submit_bytes(0, ByteOp::Put(bkey(2 * i + 1), b"v".to_vec()))
+                .unwrap();
+            svc.flush_all(&mut sim).unwrap();
+            i += 1;
+            assert!(i < 10_000, "no byte-tier migration ever started");
+        }
+        svc.submit(0, Op::Put(1, 1)).unwrap();
+        svc.flush_all(&mut sim).unwrap();
+        let shard = &svc.shards[0];
+        let byte_backlog = shard.unsized_table.as_ref().unwrap().migration_backlog();
+        assert!(
+            byte_backlog > 0,
+            "the byte-tier migration is still in flight"
+        );
+        assert_eq!(
+            svc.metrics().per_shard[0].migration_backlog,
+            shard.table.migration_backlog() + byte_backlog
+        );
+        // The next idle tick pumps that backlog.
+        let chunks = svc.metrics().per_shard[0].migration_chunks;
+        svc.tick(&mut sim).unwrap();
+        assert_eq!(svc.metrics().per_shard[0].migration_chunks, chunks + 1);
     }
 
     #[test]
