@@ -1,6 +1,6 @@
 //! Run the complete experiment suite — every table, figure and ablation —
 //! in order. Equivalent to invoking each binary by hand; used to populate
-//! `EXPERIMENTS.md` and `bench_output.txt`.
+//! `EXPERIMENTS.md` and `bench_figures.txt`.
 //!
 //! `REPRO_SCALE` (default 0.02) and `REPRO_SEED` apply to every experiment.
 

@@ -13,6 +13,7 @@ use gpu_sim::engine::{rotated_index, weighted_index};
 use crate::config::Distribution;
 use crate::hashfn::splitmix64;
 use crate::subtable::SubTable;
+use crate::table::MAX_TABLES;
 
 /// Theorem-1 weight from raw capacity/occupancy numbers: `n_i / C(m_i,
 /// 2)`, with `C(m,2) < 1` clamped so empty tables get a very large (but
@@ -36,7 +37,8 @@ pub fn weight(table: &SubTable) -> f64 {
 /// subtable weights through a closure, so callers that do not hold
 /// `&[SubTable]` (the host-par backend's striped stores) steer with the
 /// identical coin and sampling rule. Deterministic given
-/// `(seed, key, salt)` and the weights.
+/// `(seed, key, salt)` and the weights. Allocation-free: the weights of
+/// at most [`MAX_TABLES`] candidates live on the stack.
 pub fn choose_among_by(
     dist: Distribution,
     weight_at: impl Fn(usize) -> f64,
@@ -45,13 +47,17 @@ pub fn choose_among_by(
     key: u32,
     salt: u64,
 ) -> usize {
-    debug_assert!(!candidates.is_empty());
+    debug_assert!(!candidates.is_empty() && candidates.len() <= MAX_TABLES);
     let coin = splitmix64(seed ^ ((key as u64) << 17) ^ salt);
     match dist {
         Distribution::Uniform => candidates[(coin % candidates.len() as u64) as usize],
         Distribution::Balanced => {
-            let weights: Vec<f64> = candidates.iter().map(|&c| weight_at(c)).collect();
-            let i = weighted_index(&weights, coin).expect("Theorem-1 weights are positive");
+            let mut weights = [0.0f64; MAX_TABLES];
+            for (w, &c) in weights.iter_mut().zip(candidates) {
+                *w = weight_at(c);
+            }
+            let i = weighted_index(&weights[..candidates.len()], coin)
+                .expect("Theorem-1 weights are positive");
             candidates[i]
         }
     }

@@ -4,31 +4,40 @@
 //! the sim backend's decision core — [`crate::table`]'s `TableShape`
 //! (hash parameters, candidate routing, eviction destinations) and
 //! [`crate::distribute`]'s Theorem-1 steering — but executes against the
-//! engine's lock-striped store ([`StripedStore`]) with
-//! `std::thread::scope` workers instead of simulated warps, so throughput
-//! is bounded by the host machine, not by the model.
+//! engine's thread-safe store ([`StripedStore`]: flat atomic lanes, one
+//! lock per bucket) with `std::thread::scope` workers instead of
+//! simulated warps, so throughput is bounded by the host machine, not by
+//! the model.
 //!
 //! ## Concurrency protocol
 //!
 //! * **Insert (concurrent phase).** Each worker owns a contiguous chunk
-//!   of the batch. Per key it locks the stripes covering *every*
-//!   candidate bucket, in canonical ascending `(table, stripe)` order
-//!   (deadlock-free; `vendor/interleave` pins the protocol), then — with
-//!   all candidates visible and claimed — upserts a duplicate in place or
-//!   writes the first empty slot of the steered candidate. Because no key
-//!   is ever invisible (moves happen only in the sequential phase) and
-//!   the whole candidate set is held, the duplicate check is sound and
-//!   concurrent inserts of distinct keys commute.
+//!   of the batch. Per key it locks *every* candidate bucket, in
+//!   canonical ascending `(table, bucket)` order (deadlock-free;
+//!   `vendor/interleave` pins the protocol), then — with all candidates
+//!   visible and claimed — upserts a duplicate in place or writes the
+//!   first empty slot of the steered candidate. Because no key is ever
+//!   invisible (moves happen only in the sequential phase) and the whole
+//!   candidate set is held, the duplicate check is sound and concurrent
+//!   inserts of distinct keys commute.
 //! * **Insert (sequential overflow drain).** Keys whose candidate buckets
 //!   were all full are collected per worker and drained by the calling
 //!   thread after the join: classic cuckoo eviction chains, with a
 //!   conflict-free subtable doubling when a chain exhausts
 //!   `eviction_limit` — the quiesce-point analogue of the sim backend's
 //!   upsize-and-retry.
-//! * **Find / delete.** Per-key, single-bucket critical sections: a find
-//!   probes candidates in order under their stripe guards; a delete's
+//! * **Find.** Lock-free, like the paper's find kernel: `find_batch`
+//!   takes `&mut self`, so no insert or delete can overlap it, and it
+//!   probes through each store's [`StripedRead`] view without touching a
+//!   lock or charging a lock failure.
+//! * **Delete.** Per-key, single-bucket critical sections: a delete's
 //!   probe-and-erase happens under one guard, so double deletes of the
 //!   same key serialize and erase exactly once.
+//!
+//! Every batch verb splits its batch into at most `threads` chunks, spawns
+//! a worker for each chunk but the last, and runs the last on the calling
+//! thread: a scoped spawn and join costs tens of microseconds, more than
+//! a small chunk's work.
 //!
 //! ## Determinism boundary
 //!
@@ -43,10 +52,11 @@
 //!
 //! Metrics and attribution are per-thread (worker-local [`Metrics`],
 //! thread-local [`obs::attr`] state) and merged at quiesce points in
-//! thread-index order; merging is associative and commutative, so the
-//! totals are schedule-independent even though per-thread splits are not.
+//! chunk order; merging is associative and commutative, so the totals
+//! are schedule-independent even though per-thread splits are not.
 
-use gpu_sim::engine::striped::{StripeGuard, StripedStore};
+use gpu_sim::engine::striped::{StripeGuard, StripedRead, StripedStore};
+use gpu_sim::engine::SlotWord;
 use gpu_sim::{ChargeKind, Metrics};
 use obs::attr::{self, Attribution};
 
@@ -55,12 +65,7 @@ use crate::distribute;
 use crate::error::{Error, Result};
 use crate::hashfn::splitmix64;
 use crate::rmw::MergeRule;
-use crate::table::{TableShape, MAX_INSERT_RETRIES};
-
-/// What one insert worker hands back at the join: its overflow keys (in
-/// chunk order), inserted/updated counts, and its private metrics and
-/// attribution windows for the quiesce-point merge.
-type InsertWindow = (Vec<(u32, u32)>, u64, u64, Metrics, Option<Attribution>);
+use crate::table::{TableShape, MAX_INSERT_RETRIES, MAX_TABLES};
 
 /// What one batch did, from the caller's point of view.
 ///
@@ -85,7 +90,6 @@ pub struct ParTable {
     shape: TableShape,
     tables: Vec<StripedStore<u32, u32>>,
     threads: usize,
-    buckets_per_stripe: usize,
     metrics: Metrics,
     attribution: Attribution,
     profile: bool,
@@ -99,48 +103,111 @@ enum Placed {
     Overflow,
 }
 
-/// Candidate-stripe guards held in canonical `(table, stripe)` order.
+/// What one chunk's run hands back at the join: its result plus its
+/// private metrics and attribution windows for the quiesce-point merge.
+struct Window<R> {
+    out: R,
+    metrics: Metrics,
+    attr: Option<Attribution>,
+}
+
+/// One insert chunk's result: its overflow keys (in chunk order) and its
+/// inserted/updated counts.
+#[derive(Default)]
+struct InsertChunk {
+    overflow: Vec<(u32, u32)>,
+    inserted: u64,
+    updated: u64,
+}
+
+/// Run `work` over at most `threads` contiguous chunks of `items`: every
+/// chunk but the last on a scoped worker, the last on the calling thread.
+/// Each chunk runs against private [`Metrics`] and, when `profile` is on,
+/// a fresh `obs::attr` session on its thread. Windows come back in chunk
+/// order.
+fn run_chunks<T: Sync, R: Send>(
+    threads: usize,
+    profile: bool,
+    items: &[T],
+    work: impl Fn(&[T], &mut Metrics) -> R + Sync,
+) -> Vec<Window<R>> {
+    let run = |chunk: &[T]| {
+        if profile {
+            attr::start();
+        }
+        let mut metrics = Metrics::default();
+        let out = work(chunk, &mut metrics);
+        Window {
+            out,
+            metrics,
+            attr: profile.then(attr::stop),
+        }
+    };
+    let run = &run;
+    let mut chunks = items.chunks(items.len().div_ceil(threads).max(1));
+    let last = chunks.next_back().expect("batch is non-empty");
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks.map(|c| scope.spawn(move || run(c))).collect();
+        let tail = run(last);
+        let mut windows: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("host-par worker panicked"))
+            .collect();
+        windows.push(tail);
+        windows
+    })
+}
+
+/// Voter-style acquire of bucket `b`: a failed `try_lock` is charged as a
+/// lock failure, then the worker blocks on the same bucket.
+fn lock_counted<'a>(
+    store: &'a StripedStore<u32, u32>,
+    b: usize,
+    m: &mut Metrics,
+) -> StripeGuard<'a, u32, u32> {
+    store.try_lock_stripe(b).unwrap_or_else(|| {
+        m.charge(ChargeKind::LockFailures, 1);
+        store.lock_stripe(b)
+    })
+}
+
+/// The guards of a key's candidate buckets; `guards[i]` holds candidate
+/// `i`'s bucket.
 struct CandGuards<'a> {
-    keys: Vec<(usize, usize)>,
-    guards: Vec<StripeGuard<'a, u32, u32>>,
+    guards: [Option<StripeGuard<'a, u32, u32>>; MAX_TABLES],
 }
 
 impl<'a> CandGuards<'a> {
-    /// Acquire every listed stripe, canonically ordered. Each acquire is
-    /// voter-style: a failed `try_lock` is charged as a lock failure,
-    /// then the worker blocks on the same stripe (order is preserved, so
-    /// the protocol stays deadlock-free).
+    /// Lock every candidate `(table, bucket)` of `locs`, in canonical
+    /// ascending order, each voter-style ([`lock_counted`]: order is
+    /// preserved, so the protocol stays deadlock-free). Candidate tables
+    /// are distinct, so no bucket is listed twice.
     fn acquire(
         tables: &'a [StripedStore<u32, u32>],
-        mut keys: Vec<(usize, usize)>,
+        locs: &[(usize, usize)],
         m: &mut Metrics,
     ) -> Self {
-        keys.sort_unstable();
-        keys.dedup();
-        let guards = keys
-            .iter()
-            .map(|&(t, s)| match tables[t].try_lock_stripe(s) {
-                Some(g) => g,
-                None => {
-                    m.charge(ChargeKind::LockFailures, 1);
-                    tables[t].lock_stripe(s)
-                }
-            })
-            .collect();
-        Self { keys, guards }
+        let mut order: [usize; MAX_TABLES] = std::array::from_fn(|i| i);
+        let order = &mut order[..locs.len()];
+        order.sort_unstable_by_key(|&i| locs[i]);
+        debug_assert!(
+            order.windows(2).all(|w| locs[w[0]] < locs[w[1]]),
+            "a candidate bucket is listed twice"
+        );
+        let mut guards: [Option<StripeGuard<'a, u32, u32>>; MAX_TABLES] = Default::default();
+        for &i in order.iter() {
+            let (t, b) = locs[i];
+            guards[i] = Some(lock_counted(&tables[t], b, m));
+        }
+        Self { guards }
     }
 
-    fn guard_mut(&mut self, t: usize, s: usize) -> &mut StripeGuard<'a, u32, u32> {
-        let i = self
-            .keys
-            .iter()
-            .position(|&k| k == (t, s))
-            .expect("stripe not locked");
-        &mut self.guards[i]
+    fn get(&mut self, i: usize) -> &mut StripeGuard<'a, u32, u32> {
+        self.guards[i].as_mut().expect("candidate bucket locked")
     }
 }
 
-/// Concurrent-phase placement of one key: all candidate stripes held,
+/// Concurrent-phase placement of one key: all candidate buckets held,
 /// merge a duplicate in place (inside the probe-duplicate-then-claim
 /// critical section — the guards cover every candidate, so the duplicate
 /// check and the merge are one atomic step) or claim an empty slot; full
@@ -154,19 +221,17 @@ fn par_insert_one(
     m: &mut Metrics,
 ) -> Placed {
     let cands = shape.candidates(key);
-    let locs: Vec<(usize, usize, usize)> = cands
-        .iter()
-        .map(|t| {
-            let b = shape.hashes[t].bucket(key, tables[t].n_buckets());
-            (t, tables[t].stripe_of(b), b)
-        })
-        .collect();
-    let mut held = CandGuards::acquire(tables, locs.iter().map(|&(t, s, _)| (t, s)).collect(), m);
+    let mut locs = [(0usize, 0usize); MAX_TABLES];
+    for (loc, t) in locs.iter_mut().zip(cands.iter()) {
+        *loc = (t, shape.hashes[t].bucket(key, tables[t].n_buckets()));
+    }
+    let locs = &locs[..cands.len()];
+    let mut held = CandGuards::acquire(tables, locs, m);
     // Upsert: with every candidate bucket claimed, a duplicate anywhere
     // is visible — the check is sound under concurrency.
-    for &(t, s, b) in &locs {
+    for (i, &(_, b)) in locs.iter().enumerate() {
         m.charge(ChargeKind::Lookups, 1);
-        let g = held.guard_mut(t, s);
+        let g = held.get(i);
         if let Some(slot) = g.find_slot(b, key) {
             let new = if rule.reads_old() {
                 rule.merge(g.slot(b, slot).1, val)
@@ -182,18 +247,18 @@ fn par_insert_one(
     let steered = distribute::choose_among_by(
         shape.cfg.distribution,
         |c| distribute::weight_of(tables[c].capacity_slots(), tables[c].occupied()),
-        &cands.as_slice_vec(),
+        &cands.to_array()[..cands.len()],
         shape.cfg.seed,
         key,
         0,
     );
-    let order = locs
-        .iter()
-        .copied()
-        .filter(|&(t, _, _)| t == steered)
-        .chain(locs.iter().copied().filter(|&(t, _, _)| t != steered));
-    for (t, s, b) in order {
-        let g = held.guard_mut(t, s);
+    let is_steered = |i: &usize| locs[*i].0 == steered;
+    let order = (0..locs.len())
+        .filter(is_steered)
+        .chain((0..locs.len()).filter(|i| !is_steered(i)));
+    for i in order {
+        let b = locs[i].1;
+        let g = held.get(i);
         if let Some(slot) = g.find_empty(b) {
             g.write_new(b, slot, key, rule.initial(val));
             m.charge(ChargeKind::Ops, 1);
@@ -201,6 +266,29 @@ fn par_insert_one(
         }
     }
     Placed::Overflow
+}
+
+/// Lock-free lookup of one key through the subtables' read views.
+fn find_one(
+    shape: &TableShape,
+    views: &[StripedRead<'_, u32, u32>],
+    key: u32,
+    m: &mut Metrics,
+) -> Option<u32> {
+    if key == 0 {
+        return None;
+    }
+    let mut hit = None;
+    for t in shape.candidates(key).iter() {
+        let view = views[t];
+        m.charge(ChargeKind::Lookups, 1);
+        hit = view.get(shape.hashes[t].bucket(key, view.n_buckets()), key);
+        if hit.is_some() {
+            break;
+        }
+    }
+    m.charge(ChargeKind::Ops, 1);
+    hit
 }
 
 /// Fold a batch's duplicate keys into one `(key, arg)` per unique key in
@@ -232,14 +320,9 @@ fn coalesce_rmw(kvs: &[(u32, u32)], rule: MergeRule) -> (MergeRule, Vec<(u32, u3
 }
 
 impl ParTable {
-    /// Create a table with per-bucket striping (the closest analogue of
+    /// Create a table with one lock per bucket (the closest analogue of
     /// the sim backend's per-bucket `atomicCAS` locks).
     pub fn new(cfg: Config, threads: usize) -> Result<Self> {
-        Self::with_striping(cfg, threads, 1)
-    }
-
-    /// Create a table with `buckets_per_stripe` buckets per lock.
-    pub fn with_striping(cfg: Config, threads: usize, buckets_per_stripe: usize) -> Result<Self> {
         cfg.validate()?;
         if threads == 0 {
             return Err(Error::InvalidConfig(
@@ -248,13 +331,12 @@ impl ParTable {
         }
         let shape = TableShape::from_config(cfg);
         let tables = (0..cfg.num_tables)
-            .map(|_| StripedStore::new(cfg.initial_buckets, cfg.layout, buckets_per_stripe))
+            .map(|_| StripedStore::new(cfg.initial_buckets, cfg.layout))
             .collect();
         Ok(Self {
             shape,
             tables,
             threads,
-            buckets_per_stripe,
             metrics: Metrics::default(),
             attribution: Attribution::default(),
             profile: false,
@@ -267,7 +349,7 @@ impl ParTable {
         &self.shape.cfg
     }
 
-    /// Worker threads used per batch.
+    /// Worker threads used per batch (the calling thread counts as one).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -298,7 +380,7 @@ impl ParTable {
         self.grows
     }
 
-    /// Metrics merged from every worker so far (thread-index merge order;
+    /// Metrics merged from every worker so far (chunk-order merge;
     /// totals are schedule-independent).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -309,11 +391,12 @@ impl ParTable {
         std::mem::take(&mut self.metrics)
     }
 
-    /// Enable/disable per-thread cost attribution. While enabled, batch
-    /// calls own the **calling thread's** thread-local `obs::attr` state
-    /// during the sequential drain (an active caller profiler would be
-    /// clobbered), and every worker's attribution window is merged into
-    /// [`ParTable::take_attribution`].
+    /// Enable/disable per-thread cost attribution. While enabled, a batch
+    /// call owns the **calling thread's** thread-local `obs::attr` state
+    /// for the whole call — the calling thread runs the batch's last
+    /// chunk and the sequential drain under sessions of its own, so an
+    /// active caller profiler would be clobbered — and every chunk's
+    /// attribution window is merged into [`ParTable::take_attribution`].
     pub fn set_profiling(&mut self, on: bool) {
         self.profile = on;
     }
@@ -328,9 +411,19 @@ impl ParTable {
         self.shape.hashes[t].bucket(key, self.tables[t].n_buckets())
     }
 
-    /// Chunk length that spreads `n` items over the worker threads.
-    fn chunk_len(&self, n: usize) -> usize {
-        n.div_ceil(self.threads).max(1)
+    /// Quiesce point: merge the chunks' windows in chunk order, returning
+    /// their results in the same order.
+    fn merge_windows<R>(&mut self, windows: Vec<Window<R>>) -> Vec<R> {
+        windows
+            .into_iter()
+            .map(|w| {
+                self.metrics.merge(&w.metrics);
+                if let Some(a) = &w.attr {
+                    self.attribution.merge(a);
+                }
+                w.out
+            })
+            .collect()
     }
 
     /// Insert (upsert) a batch. Concurrent phase on scoped worker
@@ -370,53 +463,29 @@ impl ParTable {
             return Ok(report);
         }
         let grows_before = self.grows;
-        let shape = &self.shape;
-        let tables = &self.tables;
-        let profile = self.profile;
-        let results: Vec<InsertWindow> = std::thread::scope(|scope| {
-            let handles: Vec<_> = kvs
-                .chunks(self.chunk_len(kvs.len()))
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        if profile {
-                            attr::start();
-                        }
-                        let mut m = Metrics::default();
-                        let mut overflow = Vec::new();
-                        let (mut inserted, mut updated) = (0u64, 0u64);
-                        for &(k, v) in chunk {
-                            match par_insert_one(shape, tables, k, v, rule, &mut m) {
-                                Placed::Updated => updated += 1,
-                                Placed::Inserted => inserted += 1,
-                                Placed::Overflow => overflow.push((k, v)),
-                            }
-                        }
-                        let a = profile.then(attr::stop);
-                        (overflow, inserted, updated, m, a)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("host-par insert worker panicked"))
-                .collect()
-        });
-        // Quiesce point: merge per-thread windows in thread-index order
-        // and collect the overflow in the same order.
-        let mut overflow = Vec::new();
-        for (chunk_overflow, inserted, updated, m, a) in results {
-            report.inserted += inserted;
-            report.updated += updated;
-            self.metrics.merge(&m);
-            if let Some(a) = a {
-                self.attribution.merge(&a);
+        let (shape, tables) = (&self.shape, &self.tables);
+        let windows = run_chunks(self.threads, self.profile, kvs, |chunk, m| {
+            let mut out = InsertChunk::default();
+            for &(k, v) in chunk {
+                match par_insert_one(shape, tables, k, v, rule, m) {
+                    Placed::Updated => out.updated += 1,
+                    Placed::Inserted => out.inserted += 1,
+                    Placed::Overflow => out.overflow.push((k, v)),
+                }
             }
-            overflow.extend(chunk_overflow);
+            out
+        });
+        // Collect the overflow in chunk order.
+        let mut overflow = Vec::new();
+        for chunk in self.merge_windows(windows) {
+            report.inserted += chunk.inserted;
+            report.updated += chunk.updated;
+            overflow.extend(chunk.overflow);
         }
         // Sequential drain: eviction chains and grows, one thread, locks
         // uncontended.
         report.overflowed = overflow.len() as u64;
-        if profile {
+        if self.profile {
             attr::start();
         }
         let mut drain_result = Ok(());
@@ -430,7 +499,7 @@ impl ParTable {
             }
             report.inserted += 1;
         }
-        if profile {
+        if self.profile {
             let a = attr::stop();
             self.attribution.merge(&a);
         }
@@ -463,8 +532,7 @@ impl ParTable {
         for t in cands.iter() {
             let b = self.bucket_of(t, key);
             self.metrics.charge(ChargeKind::Lookups, 1);
-            let store = &self.tables[t];
-            let mut g = store.lock_stripe(store.stripe_of(b));
+            let mut g = self.tables[t].lock_stripe(b);
             if let Some(s) = g.find_slot(b, key) {
                 g.update_val(b, s, val);
                 self.metrics.charge(ChargeKind::Ops, 1);
@@ -474,7 +542,7 @@ impl ParTable {
         let steered = distribute::choose_among_by(
             self.shape.cfg.distribution,
             |c| distribute::weight_of(self.tables[c].capacity_slots(), self.tables[c].occupied()),
-            &cands.as_slice_vec(),
+            &cands.to_array()[..cands.len()],
             self.shape.cfg.seed,
             key,
             0,
@@ -482,8 +550,7 @@ impl ParTable {
         // Room in any candidate, steered first?
         for t in std::iter::once(steered).chain(cands.iter().filter(|&t| t != steered)) {
             let b = self.bucket_of(t, key);
-            let store = &self.tables[t];
-            let mut g = store.lock_stripe(store.stripe_of(b));
+            let mut g = self.tables[t].lock_stripe(b);
             if let Some(s) = g.find_empty(b) {
                 g.write_new(b, s, key, val);
                 self.metrics.charge(ChargeKind::Ops, 1);
@@ -495,7 +562,7 @@ impl ParTable {
         for depth in 0..self.shape.cfg.eviction_limit as u64 {
             let b = self.bucket_of(t, k);
             let store = &self.tables[t];
-            let mut g = store.lock_stripe(store.stripe_of(b));
+            let mut g = store.lock_stripe(b);
             if let Some(s) = g.find_empty(b) {
                 g.write_new(b, s, k, v);
                 self.metrics.charge(ChargeKind::Ops, 1);
@@ -509,9 +576,13 @@ impl ParTable {
             let (vk, vv) = g.swap(b, slot, k, v);
             drop(g);
             self.metrics.charge(ChargeKind::Evictions, 1);
-            let vc = self.shape.candidates(vk);
-            let viable: Vec<usize> = vc.iter().filter(|&c| c != t).collect();
-            debug_assert!(!viable.is_empty(), "victim with no alternate subtable");
+            let mut viable = [0usize; MAX_TABLES];
+            let mut n_viable = 0;
+            for c in self.shape.candidates(vk).iter().filter(|&c| c != t) {
+                viable[n_viable] = c;
+                n_viable += 1;
+            }
+            debug_assert!(n_viable > 0, "victim with no alternate subtable");
             let dest = distribute::choose_among_by(
                 self.shape.cfg.distribution,
                 |c| {
@@ -520,7 +591,7 @@ impl ParTable {
                         self.tables[c].occupied(),
                     )
                 },
-                &viable,
+                &viable[..n_viable],
                 self.shape.cfg.seed,
                 vk,
                 depth + 1,
@@ -540,12 +611,11 @@ impl ParTable {
         let n_new = self.tables[t].n_buckets() * 2;
         let mut old = std::mem::replace(
             &mut self.tables[t],
-            StripedStore::new(n_new, self.shape.cfg.layout, self.buckets_per_stripe),
+            StripedStore::new(n_new, self.shape.cfg.layout),
         );
         for (k, v) in old.live_pairs() {
             let b = self.shape.hashes[t].bucket(k, n_new);
-            let store = &self.tables[t];
-            let mut g = store.lock_stripe(store.stripe_of(b));
+            let mut g = self.tables[t].lock_stripe(b);
             let s = g
                 .find_empty(b)
                 .expect("conflict-free doubling cannot overfill a bucket");
@@ -554,70 +624,29 @@ impl ParTable {
         self.grows += 1;
     }
 
-    /// Look up a batch of keys on the worker threads; results align with
-    /// `keys`. Key 0 (the empty sentinel) always misses.
+    /// Look up a batch of keys, results aligned with `keys`. Lock-free:
+    /// `&mut self` excludes every writer for the whole call, so the
+    /// workers read through shared [`StripedRead`] views. Key 0 (the
+    /// empty sentinel) always misses.
     pub fn find_batch(&mut self, keys: &[u32]) -> Vec<Option<u32>> {
         if keys.is_empty() {
             return Vec::new();
         }
         let shape = &self.shape;
-        let tables = &self.tables;
-        let profile = self.profile;
-        let results: Vec<(Vec<Option<u32>>, Metrics, Option<Attribution>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = keys
-                    .chunks(self.chunk_len(keys.len()))
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            if profile {
-                                attr::start();
-                            }
-                            let mut m = Metrics::default();
-                            let out = chunk
-                                .iter()
-                                .map(|&key| {
-                                    if key == 0 {
-                                        return None;
-                                    }
-                                    let mut hit = None;
-                                    for t in shape.candidates(key).iter() {
-                                        let b = shape.hashes[t].bucket(key, tables[t].n_buckets());
-                                        m.charge(ChargeKind::Lookups, 1);
-                                        let g = match tables[t]
-                                            .try_lock_stripe(tables[t].stripe_of(b))
-                                        {
-                                            Some(g) => g,
-                                            None => {
-                                                m.charge(ChargeKind::LockFailures, 1);
-                                                tables[t].lock_stripe(tables[t].stripe_of(b))
-                                            }
-                                        };
-                                        if let Some(s) = g.find_slot(b, key) {
-                                            hit = Some(g.slot(b, s).1);
-                                            break;
-                                        }
-                                    }
-                                    m.charge(ChargeKind::Ops, 1);
-                                    hit
-                                })
-                                .collect();
-                            let a = profile.then(attr::stop);
-                            (out, m, a)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("host-par find worker panicked"))
-                    .collect()
-            });
+        let views: Vec<StripedRead<'_, u32, u32>> = self
+            .tables
+            .iter_mut()
+            .map(StripedStore::read_view)
+            .collect();
+        let windows = run_chunks(self.threads, self.profile, keys, |chunk, m| {
+            chunk
+                .iter()
+                .map(|&key| find_one(shape, &views, key, m))
+                .collect::<Vec<_>>()
+        });
         let mut out = Vec::with_capacity(keys.len());
-        for (chunk_out, m, a) in results {
-            out.extend(chunk_out);
-            self.metrics.merge(&m);
-            if let Some(a) = a {
-                self.attribution.merge(&a);
-            }
+        for chunk in self.merge_windows(windows) {
+            out.extend(chunk);
         }
         out
     }
@@ -629,61 +658,28 @@ impl ParTable {
         if keys.is_empty() {
             return 0;
         }
-        let shape = &self.shape;
-        let tables = &self.tables;
-        let profile = self.profile;
-        let results: Vec<(u64, Metrics, Option<Attribution>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = keys
-                .chunks(self.chunk_len(keys.len()))
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        if profile {
-                            attr::start();
-                        }
-                        let mut m = Metrics::default();
-                        let mut erased = 0u64;
-                        for &key in chunk {
-                            if key == 0 {
-                                continue;
-                            }
-                            for t in shape.candidates(key).iter() {
-                                let b = shape.hashes[t].bucket(key, tables[t].n_buckets());
-                                m.charge(ChargeKind::Lookups, 1);
-                                let mut g = match tables[t].try_lock_stripe(tables[t].stripe_of(b))
-                                {
-                                    Some(g) => g,
-                                    None => {
-                                        m.charge(ChargeKind::LockFailures, 1);
-                                        tables[t].lock_stripe(tables[t].stripe_of(b))
-                                    }
-                                };
-                                if let Some(s) = g.find_slot(b, key) {
-                                    g.erase(b, s);
-                                    erased += 1;
-                                    break;
-                                }
-                            }
-                            m.charge(ChargeKind::Ops, 1);
-                        }
-                        let a = profile.then(attr::stop);
-                        (erased, m, a)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("host-par delete worker panicked"))
-                .collect()
-        });
-        let mut erased = 0;
-        for (n, m, a) in results {
-            erased += n;
-            self.metrics.merge(&m);
-            if let Some(a) = a {
-                self.attribution.merge(&a);
+        let (shape, tables) = (&self.shape, &self.tables);
+        let windows = run_chunks(self.threads, self.profile, keys, |chunk, m| {
+            let mut erased = 0u64;
+            for &key in chunk {
+                if key == 0 {
+                    continue;
+                }
+                for t in shape.candidates(key).iter() {
+                    let b = shape.hashes[t].bucket(key, tables[t].n_buckets());
+                    m.charge(ChargeKind::Lookups, 1);
+                    let mut g = lock_counted(&tables[t], b, m);
+                    if let Some(s) = g.find_slot(b, key) {
+                        g.erase(b, s);
+                        erased += 1;
+                        break;
+                    }
+                }
+                m.charge(ChargeKind::Ops, 1);
             }
-        }
-        erased
+            erased
+        });
+        self.merge_windows(windows).into_iter().sum()
     }
 
     /// All live `(key, value)` pairs (unordered across subtables;
@@ -697,24 +693,44 @@ impl ParTable {
         out
     }
 
-    /// Structural integrity sweep: occupancy counters match the key
-    /// lanes, every live key sits in its hash bucket of a candidate
-    /// subtable, and no key is stored twice. Test/debug helper.
+    /// Structural integrity sweep over the stores' own lanes: occupancy
+    /// counters match the key lanes, every live key sits in its hash
+    /// bucket of a candidate subtable, no key is stored twice, and — under
+    /// a fingerprint layout — every live slot's tag is
+    /// `fp_hash(key) % fp_max + 1` and every empty slot's tag is 0.
+    /// Test/debug helper.
     pub fn verify(&mut self) -> std::result::Result<(), String> {
+        let layout = self.shape.cfg.layout;
         let mut seen = std::collections::HashMap::new();
-        for t in 0..self.tables.len() {
-            let occ = self.tables[t].occupied();
-            let rec = self.tables[t].recount();
+        for (t, store) in self.tables.iter_mut().enumerate() {
+            let occ = store.occupied();
+            let rec = store.recount();
             if occ != rec {
                 return Err(format!("table {t}: occupied() = {occ}, recount = {rec}"));
             }
-            let bs = self.tables[t].to_bucket_store();
-            for b in 0..bs.n_buckets() {
-                for &k in bs.bucket_keys(b) {
+            let view = store.read_view();
+            for b in 0..view.n_buckets() {
+                for s in 0..layout.slots {
+                    let k = view.key(b, s);
+                    if layout.has_fp() {
+                        let tag = view
+                            .fp(b, s)
+                            .ok_or_else(|| format!("table {t}: fingerprint lane missing"))?;
+                        let want = if k == 0 {
+                            0
+                        } else {
+                            (k.fp_hash() % layout.fp_max() + 1) as u16
+                        };
+                        if tag != want {
+                            return Err(format!(
+                                "table {t}: bucket {b} slot {s} (key {k}) has tag {tag}, want {want}"
+                            ));
+                        }
+                    }
                     if k == 0 {
                         continue;
                     }
-                    let want = self.shape.hashes[t].bucket(k, bs.n_buckets());
+                    let want = self.shape.hashes[t].bucket(k, view.n_buckets());
                     if want != b {
                         return Err(format!(
                             "table {t}: key {k} in bucket {b}, hashes to {want}"
@@ -849,5 +865,37 @@ mod tests {
         for kind in ChargeKind::ALL {
             assert_eq!(a.total(kind), m.get(kind), "{kind:?}");
         }
+    }
+
+    #[test]
+    fn verify_checks_the_fingerprint_lane_through_every_step() {
+        // soa32+fp8, run through insert, upsert, delete and a forced grow;
+        // the integrity sweep reads the stores' own fingerprint lanes.
+        let cfg = Config {
+            layout: gpu_sim::LayoutConfig::default().with_fp(8),
+            ..cfg()
+        };
+        assert!(cfg.layout.has_fp());
+        let mut t = ParTable::new(cfg, 4).unwrap();
+        let kvs: Vec<(u32, u32)> = (1..=300u32).map(|k| (k, k)).collect();
+        t.insert_batch(&kvs).unwrap();
+        t.verify().unwrap();
+        let adds: Vec<(u32, u32)> = (250..=350u32).map(|k| (k, 5)).collect();
+        let r = t.upsert_batch(&adds, MergeRule::Add).unwrap();
+        assert_eq!((r.updated, r.inserted), (51, 50));
+        t.verify().unwrap();
+        let dels: Vec<u32> = (1..=120u32).collect();
+        assert_eq!(t.delete_batch(&dels), 120);
+        t.verify().unwrap();
+        let grow_before = t.grows();
+        let more: Vec<(u32, u32)> = (1000..3000u32).map(|k| (k, k)).collect();
+        t.insert_batch(&more).unwrap();
+        assert!(t.grows() > grow_before, "2,000 more keys must grow");
+        t.verify().unwrap();
+        assert_eq!(t.len(), 230 + 2000);
+        assert_eq!(
+            t.find_batch(&[300, 350, 120]),
+            vec![Some(305), Some(5), None]
+        );
     }
 }

@@ -105,6 +105,13 @@ impl Candidates {
     pub fn as_slice_vec(&self) -> Vec<usize> {
         self.iter().collect()
     }
+
+    /// The candidate list widened to `usize`, on the stack:
+    /// `&c.to_array()[..c.len()]` is [`Self::as_slice_vec`] without a
+    /// heap allocation.
+    pub fn to_array(self) -> [usize; MAX_TABLES] {
+        self.tables.map(usize::from)
+    }
 }
 
 impl TableShape {

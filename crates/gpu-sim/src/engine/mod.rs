@@ -15,9 +15,10 @@
 //!   eviction-destination steering.
 //! * [`sizing`] — capacity sizing (buckets for a target filled factor)
 //!   shared by all schemes and bucket widths.
-//! * [`striped`] — the lock-striped, thread-safe access mode of the
-//!   bucketized store that the `host-par` backend runs real OS threads
-//!   against (the sim path keeps the round scheduler's atomic locks).
+//! * [`striped`] — the thread-safe access mode of the bucketized store
+//!   (flat atomic lanes, one lock per bucket, lock-free read views) that
+//!   the `host-par` backend runs real OS threads against (the sim path
+//!   keeps the round scheduler's atomic locks).
 //!
 //! The default layout reproduces the pre-engine accounting exactly, so the
 //! schedule-fuzz digests and telemetry snapshots pin the refactor as
@@ -34,4 +35,4 @@ pub use layout::{Aos, BucketLayout, LayoutConfig, LayoutScheme, Soa, LINE_BYTES,
 pub use probe::{nth_active_lane, pack_warps, rotated_index, weighted_index};
 pub use sizing::{buckets_for_load, mixed_bucket_sizes};
 pub use store::{BucketStore, SlotStore, SlotWord};
-pub use striped::{StripeGuard, StripedStore};
+pub use striped::{AtomicSlot, StripeGuard, StripedRead, StripedStore};

@@ -48,7 +48,9 @@ pub mod warp;
 pub use atomic::{Locks, RoundCtx};
 pub use cost::CostModel;
 pub use device::{Device, DeviceConfig};
-pub use engine::{BucketStore, LayoutConfig, LayoutScheme, SlotStore, StripeGuard, StripedStore};
+pub use engine::{
+    BucketStore, LayoutConfig, LayoutScheme, SlotStore, StripeGuard, StripedRead, StripedStore,
+};
 pub use explore::{shrink_ops, SchedulePolicy};
 pub use metrics::{ChargeKind, Metrics};
 pub use scheduler::{

@@ -1,25 +1,34 @@
-//! Exhaustive interleaving tests for the host-par stripe-lock protocol.
+//! Exhaustive interleaving tests for the host-par bucket-lock protocol
+//! (one lock per bucket: a "stripe" is a bucket).
 //!
 //! `dycuckoo::host_par` keeps its concurrent insert path correct with two
 //! rules (see `CandGuards::acquire` and `par_insert_one`):
 //!
 //! 1. **Canonical lock order** — a worker locks *all* of a key's candidate
-//!    stripes in ascending `(table, stripe)` order, sorted and deduped,
-//!    before touching any bucket. Consistent global ordering is the
-//!    classical deadlock-freedom argument.
+//!    buckets in ascending `(table, bucket)` order before touching any of
+//!    them. Consistent global ordering is the classical deadlock-freedom
+//!    argument.
 //! 2. **Claims happen under the locks** — the probe-for-duplicate and the
 //!    claim-an-empty-slot are one critical section, so two workers
 //!    inserting the same key can never both claim a slot (the voter-insert
 //!    semantics of the sim kernel, `ops::insert`).
+//!
+//! Its batch finds take no lock at all (`find_batch` probes through
+//! `StripedRead` views), which rests on a third rule:
+//!
+//! 3. **Finds never overlap writers** — `find_batch` takes `&mut self`,
+//!    so every writer of the previous batch has joined before a find
+//!    starts, exactly as the paper's find kernel never overlaps an insert
+//!    kernel.
 //!
 //! Real mutexes cannot be exhaustively schedule-explored, so these tests
 //! model the protocol on the vendored [`interleave`] explorer: locks are
 //! boolean flags, buckets are one-slot `Option`s, and every interleaving
 //! of every step is enumerated. Each rule is pinned twice — the protocol
 //! as written passes on *every* schedule, and the tempting simplification
-//! (unsorted acquisition; claim outside the lock) is shown to fail on
-//! *some* schedule, proving the explorer has teeth and the rule is
-//! load-bearing.
+//! (unsorted acquisition; claim outside the lock; a lock-free find beside
+//! a writer, i.e. `find_batch(&self)`) is shown to fail on *some*
+//! schedule, proving the explorer has teeth and the rule is load-bearing.
 
 use interleave::{explore, Step, ThreadFn};
 
@@ -35,6 +44,10 @@ struct Model {
     /// `Placed::Overflow` here and the key falls back to the sequential
     /// eviction-chain drain.
     overflowed: u32,
+    /// The modeled cuckoo move has finished (its thread "joined").
+    moved: bool,
+    /// A lock-free find's answer, once it has one.
+    found: Option<Option<u32>>,
 }
 
 impl Model {
@@ -51,8 +64,9 @@ impl Model {
 /// on `cands`: lock every candidate stripe one step at a time (blocking,
 /// without side effects, when a flag is held), then upsert-or-claim in a
 /// single step under the locks, then release. With `canonical`, the
-/// acquisition order is sorted + deduped — exactly what
-/// `CandGuards::acquire` does; without it, the given order is used as-is.
+/// acquisition order is sorted (and deduped, which `CandGuards::acquire`
+/// only asserts: its candidate tables are distinct); without it, the
+/// given order is used as-is.
 fn insert_worker(mut cands: Vec<usize>, key: u32, val: u32, canonical: bool) -> ThreadFn<Model> {
     if canonical {
         cands.sort_unstable();
@@ -244,4 +258,125 @@ fn elided_lock_double_claims_on_some_schedule() {
         "the explorer must expose the elided-lock double claim"
     );
     assert!(clean > 0, "serial schedules still behave");
+}
+
+/// One modeled cuckoo move, as an eviction chain makes it: lock both
+/// buckets in canonical order, take the key out of bucket `from`, then
+/// write it into bucket `to` — two steps, with the key in flight (in no
+/// slot) between them — then release.
+fn mover(from: usize, to: usize) -> ThreadFn<Model> {
+    let mut order = [from, to];
+    order.sort_unstable();
+    let mut pc = 0usize;
+    let mut carried = None;
+    Box::new(move |t: &mut Model| {
+        match pc {
+            0 | 1 => {
+                if t.locks[order[pc]] {
+                    return Step::Blocked;
+                }
+                t.locks[order[pc]] = true;
+            }
+            2 => carried = t.slots[from].take(),
+            3 => t.slots[to] = carried,
+            4 => t.locks[order[1]] = false,
+            _ => {
+                t.locks[order[0]] = false;
+                t.moved = true;
+                return Step::Done;
+            }
+        }
+        pc += 1;
+        Step::Ready
+    })
+}
+
+/// One modeled lock-free find of `key` over the candidate buckets
+/// `cands`, one probe per step, taking no lock — the `StripedRead` path of
+/// `find_batch`. With `after_join`, it cannot start before the mover has
+/// finished: the `thread::scope` join plus `&mut self` that separate a
+/// find batch from every writer.
+fn lock_free_finder(cands: Vec<usize>, key: u32, after_join: bool) -> ThreadFn<Model> {
+    let mut pc = 0usize;
+    Box::new(move |t: &mut Model| {
+        if after_join && !t.moved {
+            return Step::Blocked;
+        }
+        if let Some((k, v)) = t.slots[cands[pc]] {
+            if k == key {
+                t.found = Some(Some(v));
+                return Step::Done;
+            }
+        }
+        pc += 1;
+        if pc == cands.len() {
+            t.found = Some(None);
+            Step::Done
+        } else {
+            Step::Ready
+        }
+    })
+}
+
+/// Key 42 lives in bucket 0 and is about to move to bucket 1, its other
+/// candidate; a find of 42 probes bucket 0, then bucket 1.
+fn move_and_find(after_join: bool) -> (Model, Vec<ThreadFn<Model>>) {
+    let mut model = Model::new(2);
+    model.slots[0] = Some((42, 7));
+    (
+        model,
+        vec![mover(0, 1), lock_free_finder(vec![0, 1], 42, after_join)],
+    )
+}
+
+/// Rule 3 as written: a lock-free find that starts only after the writer
+/// has joined — what `&mut self` on `find_batch` guarantees — finds the
+/// moved key on every schedule.
+#[test]
+fn lock_free_find_after_the_writer_joins_never_misses() {
+    let report = explore(
+        || move_and_find(true),
+        |t, schedule| {
+            assert_eq!(
+                t.found,
+                Some(Some(7)),
+                "find missed a present key: {schedule:?}"
+            );
+            assert_eq!(t.slots, vec![None, Some((42, 7))]);
+        },
+    );
+    assert!(report.completed > 0);
+    assert_eq!(report.deadlocks, 0);
+    assert!(!report.truncated);
+}
+
+/// The counter-example that makes rule 3 load-bearing: let the same
+/// lock-free find overlap the move (`find_batch(&self)`), and the
+/// explorer must find a schedule where it misses a key that is present
+/// before and after the move — it probes bucket 0 after the key left and
+/// bucket 1 before the key arrived.
+#[test]
+fn lock_free_find_racing_a_move_misses_on_some_schedule() {
+    let (mut misses, mut hits) = (0u32, 0u32);
+    let report = explore(
+        || move_and_find(false),
+        |t, schedule| {
+            match t.found {
+                Some(Some(7)) => hits += 1,
+                Some(None) => misses += 1,
+                other => panic!("find answered {other:?}: {schedule:?}"),
+            }
+            assert_eq!(
+                t.slots,
+                vec![None, Some((42, 7))],
+                "the move itself is sound"
+            );
+        },
+    );
+    assert_eq!(report.deadlocks, 0);
+    assert!(
+        misses > 0,
+        "the explorer must expose a find missing an in-flight key"
+    );
+    assert!(hits > 0, "serial schedules still find the key");
 }
