@@ -11,8 +11,10 @@
 //!    oldest request has waited `max_delay_ticks` — size-or-deadline
 //!    batching on the deterministic clock.
 //! 3. A flush compiles its window with [`crate::batcher::plan_flush`],
-//!    runs at most one find / one insert / one delete kernel against the
-//!    shard's table, and emits [`Completion`]s in submission order.
+//!    runs the plan's kernels against the shard's table — a find, an
+//!    insert, one upsert wave per position of the longest read-modify-write
+//!    chain, then a delete, each only when the plan has keys for it — and
+//!    emits [`Completion`]s in submission order.
 //! 4. [`KvService::drain_completions`] hands finished requests back.
 //!
 //! Kernel time is charged per flush in an **isolated metrics window** (the
@@ -77,16 +79,21 @@ pub enum Backend {
     /// calling thread against the caller's [`SimContext`]. The historical
     /// (and default) mode — all pinned snapshots are produced here.
     Sim,
-    /// Real OS threads: each due shard's flush window runs on its own
-    /// scoped worker thread (at most `threads` concurrently) against a
-    /// per-shard persistent [`SimContext`] owned by the service. Replies,
-    /// completions, service metrics, and the caller's metric totals are
-    /// identical to [`Backend::Sim`] by construction — shards are fully
-    /// independent and results are applied in shard-visit order at the
-    /// join. Device-byte accounting lives in the per-shard contexts
-    /// instead of the caller's.
+    /// Real OS threads: a flush splits its due shards into contiguous
+    /// groups of the visit order, one per full window of work
+    /// (`max_batch` requests across the due windows), at most `threads`
+    /// and at least one. Every group but the last runs on a scoped worker
+    /// thread; the calling thread runs the last group itself, so a tick
+    /// with less than two windows' worth of requests spawns nothing. Every
+    /// shard's kernels run against a per-shard persistent [`SimContext`]
+    /// owned by the service. Replies, completions, service metrics, and
+    /// the caller's metric totals are identical to [`Backend::Sim`] by
+    /// construction — shards are fully independent and results are applied
+    /// in shard-visit order at the join. Device-byte accounting lives in
+    /// the per-shard contexts instead of the caller's.
     HostPar {
-        /// Maximum worker threads per flush wave (≥ 1).
+        /// Threads a flush may run kernels on, the calling thread
+        /// included (≥ 1; 1 never spawns).
         threads: usize,
     },
 }
@@ -293,8 +300,9 @@ pub struct KvService {
     /// Per-shard kernel contexts — empty under [`Backend::Sim`] (the
     /// caller's context runs everything), one per shard under
     /// [`Backend::HostPar`] so workers execute kernels without sharing
-    /// the caller's `SimContext`. Device-byte accounting for the shard's
-    /// tables lives here in host-par mode.
+    /// the caller's `SimContext` (the calling thread uses them too).
+    /// Device-byte accounting for the shard's tables lives here in
+    /// host-par mode.
     shard_sims: Vec<SimContext>,
     completions: VecDeque<Completion>,
     byte_completions: VecDeque<ByteCompletion>,
@@ -659,15 +667,18 @@ impl KvService {
     ///
     /// 1. **prepare** — drain and compile one window per due shard (with
     ///    `drain_all`, every window until the queue is empty);
-    /// 2. **run** — execute each window's kernels: inline on the caller's
-    ///    context under [`Backend::Sim`], on scoped worker threads against
-    ///    the shards' own contexts under [`Backend::HostPar`];
+    /// 2. **run** — execute each window's kernels through
+    ///    [`KvService::run_flush_groups`]: the due shards split into
+    ///    [`flush_groups`] contiguous groups, every group but the last on a
+    ///    scoped worker thread, the last inline on the calling thread
+    ///    inside each window's attribution scope and span (under
+    ///    [`Backend::Sim`] that is every window);
     /// 3. **apply** — fold each result in through
     ///    [`KvService::apply_flush`], in visit order.
     ///
     /// Replies, completions, per-shard metrics, spans, attribution and the
     /// caller's metric totals are therefore identical whichever backend
-    /// ran the kernels.
+    /// and thread ran the kernels.
     fn flush_windows(
         &mut self,
         due: &[usize],
@@ -692,28 +703,7 @@ impl KvService {
             }
             prepped.push((shard, windows));
         }
-        let results: Vec<Vec<FlushKernelResult>> = match self.cfg.backend {
-            // Inline, inside the window's attribution scope and span so the
-            // kernels' charges and recorder events land in place; the
-            // caller's attribution session is not restarted.
-            Backend::Sim => prepped
-                .iter()
-                .map(|(shard, windows)| {
-                    let table = &mut self.shards[*shard].table;
-                    windows
-                        .iter()
-                        .map(|w| {
-                            let _attr = flush_scope(*shard);
-                            w.span_begin(*shard);
-                            let r = run_flush_kernels(table, sim, &w.plan, false);
-                            span_end(w.window.len(), r.outcome.is_ok());
-                            r
-                        })
-                        .collect()
-                })
-                .collect(),
-            Backend::HostPar { threads } => self.run_flush_waves(&prepped, threads),
-        };
+        let results = self.run_flush_groups(&prepped, sim);
         let mut completed = 0;
         for ((shard, windows), shard_results) in prepped.into_iter().zip(results) {
             for (w, r) in windows.into_iter().zip(shard_results) {
@@ -723,46 +713,79 @@ impl KvService {
         Ok(completed)
     }
 
-    /// The [`Backend::HostPar`] run step: one worker per shard runs that
-    /// shard's windows in order against the shard's own [`SimContext`],
-    /// in waves of at most `threads` workers.
-    fn run_flush_waves(
+    /// The run step of [`KvService::flush_windows`], one for both
+    /// backends: every due shard's windows run in order, the shards split
+    /// into [`flush_groups`] contiguous groups of the visit order. Every
+    /// group but the last runs on a scoped worker thread against its
+    /// shards' own contexts, collecting attribution with `profile`; the
+    /// calling thread runs the last group the way [`Backend::Sim`] runs
+    /// every window (see [`run_in_place`]). Results come back in visit
+    /// order.
+    fn run_flush_groups(
         &mut self,
         prepped: &[(usize, Vec<PreparedWindow>)],
-        threads: usize,
+        sim: &mut SimContext,
     ) -> Vec<Vec<FlushKernelResult>> {
+        let requests = prepped
+            .iter()
+            .flat_map(|(_, windows)| windows)
+            .map(|w| w.window.len())
+            .sum();
+        let n_groups = flush_groups(self.cfg.backend, requests, self.cfg.max_batch);
+        let mut groups = prepped.chunks(prepped.len().div_ceil(n_groups).max(1));
+        let caller_group = groups.next_back().unwrap_or_default();
         let profile = obs::attr::is_enabled();
-        // Hand each worker exclusive &mut access to its shard's table and
+        // Hand out exclusive &mut access to each shard's table and own
         // context; `take` makes aliasing impossible by construction.
-        let mut cells: Vec<Option<(&mut DyCuckoo, &mut SimContext)>> = self
-            .shards
-            .iter_mut()
-            .zip(self.shard_sims.iter_mut())
-            .map(|(s, ksim)| Some((&mut s.table, ksim)))
-            .collect();
-        let mut results: Vec<Vec<FlushKernelResult>> = Vec::with_capacity(prepped.len());
-        for wave in prepped.chunks(threads.max(1)) {
-            results.extend(std::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .map(|(shard, windows)| {
-                        let (table, ksim) =
-                            cells[*shard].take().expect("duplicate shard in flush wave");
-                        scope.spawn(move || {
-                            let run = |w: &PreparedWindow| {
-                                run_flush_kernels(table, ksim, &w.plan, profile)
-                            };
-                            windows.iter().map(run).collect::<Vec<_>>()
+        let mut tables: Vec<Option<&mut DyCuckoo>> =
+            self.shards.iter_mut().map(|s| Some(&mut s.table)).collect();
+        let mut ksims: Vec<Option<&mut SimContext>> =
+            self.shard_sims.iter_mut().map(Some).collect();
+        let mut take = |shard: usize| {
+            let table = tables[shard].take().expect("duplicate shard in flush");
+            (table, ksims.get_mut(shard).and_then(Option::take))
+        };
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = groups
+                .map(|group| {
+                    let work: Vec<_> = group
+                        .iter()
+                        .map(|(shard, windows)| {
+                            let (table, ksim) = take(*shard);
+                            let ksim = ksim.expect("worker groups only run under HostPar");
+                            (table, ksim, windows)
                         })
+                        .collect();
+                    scope.spawn(move || {
+                        work.into_iter()
+                            .map(|(table, ksim, windows)| {
+                                let run = |w| run_on_worker(table, ksim, w, profile);
+                                windows.iter().map(run).collect::<Vec<_>>()
+                            })
+                            .collect::<Vec<_>>()
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("host-par flush worker panicked"))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        results
+                })
+                .collect();
+            let inline: Vec<Vec<FlushKernelResult>> = caller_group
+                .iter()
+                .map(|(shard, windows)| {
+                    let (table, ksim) = take(*shard);
+                    // As in `kernel_sim`: Sim shards have no context of
+                    // their own and run on the caller's.
+                    let ksim = ksim.unwrap_or(&mut *sim);
+                    windows
+                        .iter()
+                        .map(|w| run_in_place(*shard, table, ksim, w))
+                        .collect()
+                })
+                .collect();
+            let mut results: Vec<Vec<FlushKernelResult>> = workers
+                .into_iter()
+                .flat_map(|h| h.join().expect("host-par flush worker panicked"))
+                .collect();
+            results.extend(inline);
+            results
+        })
     }
 
     /// The apply step of [`KvService::flush_windows`] for one window, on
@@ -780,11 +803,12 @@ impl KvService {
         // counters.
         sim.metrics.merge(&r.window_metrics);
         let _attr = flush_scope(shard);
-        // Worker-side kernel charges re-root under this flush's scope, so
-        // attribution paths match an inline run's (which charged in place
-        // and hands over an empty tree).
-        obs::attr::absorb(&r.attr);
-        if !self.shard_sims.is_empty() {
+        // An inline run already charged its scope and recorded its span in
+        // place; a worker's window owes both here.
+        if let Some(attr) = &r.worker_attr {
+            // Worker-side kernel charges re-root under this flush's scope,
+            // so attribution paths match an inline run's.
+            obs::attr::absorb(attr);
             // Workers cannot reach the thread-local recorder, so the span
             // is emitted here; begin and end are adjacent because the
             // kernel time already passed.
@@ -1182,6 +1206,19 @@ fn run_rmw_waves(
     Ok(reports)
 }
 
+/// How many groups [`KvService::run_flush_groups`] splits a flush's due
+/// shards into, given the `requests` in their due windows: one under
+/// [`Backend::Sim`]; under [`Backend::HostPar`], one per `max_batch`
+/// requests (the size at which a window flushes without waiting), at most
+/// `threads` and at least one. Every group but the last costs a thread
+/// spawn, and only a full window's kernels outweigh one.
+fn flush_groups(backend: Backend, requests: usize, max_batch: usize) -> usize {
+    match backend {
+        Backend::Sim => 1,
+        Backend::HostPar { threads } => threads.min(requests.div_ceil(max_batch)).max(1),
+    }
+}
+
 /// What one window's kernels produced.
 struct FlushKernelResult {
     outcome: dycuckoo::Result<FlushKernels>,
@@ -1189,25 +1226,22 @@ struct FlushKernelResult {
     window_metrics: gpu_sim::Metrics,
     /// Roofline kernel time of that window.
     flush_ns: f64,
-    /// The thread-local attribution window collected with `profile` (empty
-    /// otherwise).
-    attr: obs::attr::Attribution,
+    /// `Some` when a worker thread ran the window: the attribution it
+    /// collected with `profile` (empty otherwise), which the apply step
+    /// absorbs before emitting the window's span. `None` when the calling
+    /// thread ran it with both already in place.
+    worker_attr: Option<obs::attr::Attribution>,
 }
 
 /// Run one compiled window's kernels against `table` on `ksim`, charging
-/// an isolated metrics window (`ksim.metrics` is untouched). Thread-safe
-/// given exclusive access to both — host-par workers run it with
-/// `profile` set to collect their own attribution; inline runs charge the
-/// caller's session in place.
+/// an isolated metrics window (`ksim.metrics` is untouched) and the
+/// running thread's attribution session, if any. Thread-safe given
+/// exclusive access to both.
 fn run_flush_kernels(
     table: &mut DyCuckoo,
     ksim: &mut SimContext,
     plan: &FlushPlan,
-    profile: bool,
 ) -> FlushKernelResult {
-    if profile {
-        obs::attr::start();
-    }
     let (outcome, window_metrics) = isolated(ksim, |sim| {
         let found = if plan.probes.is_empty() {
             Vec::new()
@@ -1228,17 +1262,53 @@ fn run_flush_kernels(
         Ok((found, ins, ups, del))
     });
     let flush_ns = CostModel::new(ksim.device.config()).kernel_time_ns(&window_metrics);
+    FlushKernelResult {
+        outcome,
+        window_metrics,
+        flush_ns,
+        worker_attr: None,
+    }
+}
+
+/// Run window `w` on a worker thread. With `profile`, the kernels charge
+/// a fresh attribution session of the worker's own (attribution is
+/// thread-local), handed back for the apply step to absorb.
+fn run_on_worker(
+    table: &mut DyCuckoo,
+    ksim: &mut SimContext,
+    w: &PreparedWindow,
+    profile: bool,
+) -> FlushKernelResult {
+    if profile {
+        obs::attr::start();
+    }
+    let r = run_flush_kernels(table, ksim, &w.plan);
     let attr = if profile {
         obs::attr::stop()
     } else {
         obs::attr::Attribution::default()
     };
     FlushKernelResult {
-        outcome,
-        window_metrics,
-        flush_ns,
-        attr,
+        worker_attr: Some(attr),
+        ..r
     }
+}
+
+/// Run `shard`'s window `w` on the calling thread, inside the window's
+/// attribution scope and `BatchFlush` span, so the kernels' charges and
+/// recorder events land in place. The caller's attribution session is
+/// charged, never restarted ([`obs::attr::start`] would discard it).
+fn run_in_place(
+    shard: usize,
+    table: &mut DyCuckoo,
+    ksim: &mut SimContext,
+    w: &PreparedWindow,
+) -> FlushKernelResult {
+    let _attr = flush_scope(shard);
+    w.span_begin(shard);
+    let r = run_flush_kernels(table, ksim, &w.plan);
+    span_end(w.window.len(), r.outcome.is_ok());
+    r
 }
 
 /// A byte-tier window compiled into kernel batches: maximal runs of one
@@ -1970,7 +2040,20 @@ mod tests {
         cfg.backend = backend;
         cfg.miss_filter_bits = 8;
         cfg.migration_quantum = 4;
+        let max_batch = cfg.max_batch;
         let mut svc = KvService::new(cfg, &mut sim).unwrap();
+        // One tick where every shard holds at least two full windows: the
+        // host-par run step splits the due shards into groups, so a worker
+        // and the calling thread both run kernels in the same tick.
+        for k in 1..=160u32 {
+            svc.submit(k % 5, Op::Put(0x10_0000 + k, k)).unwrap();
+        }
+        assert!(
+            svc.queue_depths().iter().all(|&d| d >= 2 * max_batch),
+            "every shard needs two full windows: {:?}",
+            svc.queue_depths()
+        );
+        svc.tick(&mut sim).unwrap();
         for i in 1..=600u32 {
             let _ = svc.submit(i % 5, Op::Put(i, i ^ 0x00C0_FFEE));
             if i % 3 == 0 {
@@ -2009,6 +2092,22 @@ mod tests {
         };
         svc.release(&mut sim).unwrap();
         run
+    }
+
+    #[test]
+    fn flush_groups_spawn_only_for_full_windows_of_work() {
+        let par = |threads| Backend::HostPar { threads };
+        assert_eq!(flush_groups(Backend::Sim, 4 * 256, 256), 1, "Sim");
+        // 10 requests spread over 4 due shards: not one window's worth.
+        assert_eq!(flush_groups(par(8), 10, 256), 1);
+        // 4 full windows: one group per window, up to `threads`.
+        assert_eq!(flush_groups(par(2), 4 * 256, 256), 2);
+        assert_eq!(flush_groups(par(8), 4 * 256, 256), 4);
+        // A partial window past the last full one still counts as work.
+        assert_eq!(flush_groups(par(8), 256 + 1, 256), 2);
+        for requests in [0, 1, 256, 4 * 256, 1 << 20] {
+            assert_eq!(flush_groups(par(1), requests, 256), 1, "{requests}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use bench::fuzz::{gen_ops, run_case, Case, Target};
 use dycuckoo::{Config, DyCuckoo};
 use gpu_sim::{LayoutConfig, SchedulePolicy, SimContext};
-use kv_service::{KvService, Op, ServiceConfig};
+use kv_service::{Backend, KvService, Op, ServiceConfig};
 use obs::{Event, OpKind};
 
 fn fuzz_case(target: Target, seed: u64) -> Case {
@@ -120,7 +120,7 @@ fn evict_chain_depth_matches_metrics_across_schedules() {
     }
 }
 
-fn service_csv(record: bool) -> String {
+fn service_csv(backend: Backend, record: bool) -> String {
     let mut sim = SimContext::new();
     let cfg = ServiceConfig {
         shards: 2,
@@ -134,6 +134,7 @@ fn service_csv(record: bool) -> String {
         queue_capacity: 64,
         shed_watermark: 48,
         seed: 0xCAFE,
+        backend,
         ..ServiceConfig::default()
     };
     let mut svc = KvService::new(cfg, &mut sim).expect("service");
@@ -153,28 +154,58 @@ fn service_csv(record: bool) -> String {
         }
     }
     svc.flush_all(&mut sim).expect("drain");
-    let csv = svc.snapshot().to_csv();
+    let snapshot = svc.snapshot();
     if record {
         let trace = obs::stop();
-        assert!(!trace.events.is_empty(), "service run recorded nothing");
-        assert!(
-            trace
+        assert_eq!(
+            trace.dropped, 0,
+            "ring wrapped; the span count below would lie"
+        );
+        // Every flushed window records exactly one `BatchFlush` span, closed
+        // by its own `BatchEnd` — whether the calling thread ran it (span
+        // around the kernels) or a worker did (span emitted at apply).
+        let span_ids = |opens: bool| {
+            let mut ids: Vec<u32> = trace
                 .events
                 .iter()
-                .any(|te| matches!(te.event, Event::BatchFlush { .. })),
-            "no flush spans recorded"
+                .filter(|te| match te.event {
+                    Event::BatchFlush { .. } => opens,
+                    Event::BatchEnd { .. } => !opens,
+                    _ => false,
+                })
+                .map(|te| te.span)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert!(snapshot.total.m.batches > 0, "the service flushed nothing");
+        let (flushes, ends) = (span_ids(true), span_ids(false));
+        assert_eq!(flushes, ends, "{backend:?}: unbalanced flush spans");
+        assert_eq!(
+            flushes.len() as u64,
+            snapshot.total.m.batches,
+            "{backend:?}: one flush span per window"
         );
     }
-    csv
+    snapshot.to_csv()
 }
 
 /// The service's rendered metrics CSV — the artifact `service_load` pins in
-/// CI — must be byte-identical with the recorder armed and disarmed.
+/// CI — must be byte-identical with the recorder armed and disarmed, under
+/// either backend, and equal across backends.
 #[test]
 fn service_metrics_csv_identical_with_recording_on_and_off() {
-    let off = service_csv(false);
-    let on = service_csv(true);
-    assert_eq!(off, on);
+    let sim_csv = service_csv(Backend::Sim, false);
+    for backend in [
+        Backend::Sim,
+        Backend::HostPar { threads: 1 },
+        Backend::HostPar { threads: 2 },
+    ] {
+        let off = service_csv(backend, false);
+        let on = service_csv(backend, true);
+        assert_eq!(off, on, "{backend:?}: recording changed the CSV");
+        assert_eq!(off, sim_csv, "{backend:?}: CSV differs from Sim's");
+    }
 }
 
 /// Structural sanity of a real recorded stream: every retired op is
