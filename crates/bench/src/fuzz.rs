@@ -32,7 +32,9 @@ use std::fmt;
 use baselines::{
     Cudpp, DyCuckooTable, GpuHashTable, LinearProbing, MegaKv, ResizeBounds, SlabHash,
 };
-use dycuckoo::{Config, DupPolicy, MergeRule, ParTable, UnsizedConfig, UnsizedTable, WideDyCuckoo};
+use dycuckoo::{
+    Config, DupPolicy, MergeRule, ParTable, UnsizedConfig, UnsizedTable, WideDyCuckoo, Word,
+};
 use gpu_sim::explore::mix64;
 use gpu_sim::{LayoutConfig, SchedulePolicy, SimContext};
 use kv_service::{Backend, KvService, Op, Reply, ServiceConfig, Tier};
@@ -125,9 +127,8 @@ pub struct Case {
     /// Source buckets a structural resize may drain per migration quantum.
     /// `usize::MAX` (the default sweep) keeps stop-the-world resizes; a
     /// finite value engages the incremental migration machine on the
-    /// DyCuckoo and service targets, and makes the wide runner interleave
-    /// manual `begin_upsize`/`migrate_quantum` pumps between batches — so
-    /// the oracle checks every operation *mid-migration*.
+    /// DyCuckoo, wide and service targets — so the oracle checks every
+    /// operation *mid-migration*.
     pub migration_quantum: usize,
     /// Which table tier the case drives. [`Tier::Fixed`] (the default and
     /// the historical shape) runs the per-target u32 oracles above;
@@ -406,7 +407,7 @@ fn batches(ops: &[FuzzOp]) -> Vec<Batch> {
 }
 
 /// Apply one RMW to the fixed-tier reference model.
-fn model_upsert(model: &mut HashMap<u32, u32>, k: u32, arg: u32, rule: MergeRule) {
+fn model_upsert<K: Word, V: Word>(model: &mut HashMap<K, V>, k: K, arg: V, rule: MergeRule) {
     let next = match model.get(&k) {
         Some(&old) => rule.merge(old, arg),
         None => rule.initial(arg),
@@ -496,11 +497,11 @@ fn build_table(case: &Case, sim: &mut SimContext) -> Result<Box<dyn GpuHashTable
 }
 
 /// Check a slice of lookups against the reference.
-fn check_finds(
+fn check_finds<K: Word + fmt::Display, V: Word>(
     when: &str,
-    keys: &[u32],
-    got: &[Option<u32>],
-    model: &HashMap<u32, u32>,
+    keys: &[K],
+    got: &[Option<V>],
+    model: &HashMap<K, V>,
 ) -> Result<(), Violation> {
     for (&k, g) in keys.iter().zip(got) {
         let want = model.get(&k).copied();
@@ -716,31 +717,31 @@ fn run_host_par_table_diff(case: &Case) -> Result<(), Violation> {
     Ok(())
 }
 
+/// The wide oracle: the same op stream over 64-bit keys (spread across the
+/// whole word, so the 32-bit route fold matters) and tagged 64-bit values,
+/// driven through [`WideDyCuckoo`] — the core table at 8-byte words — with
+/// the case's scheme, slot count, fingerprint lane and migration quantum.
+/// Ends with the structural `verify_integrity` sweep, like the byte tier.
 fn run_wide_case(case: &Case) -> Result<Digest, Violation> {
     let mut sim = SimContext::new();
-    let wide_layout = LayoutConfig {
-        key_bytes: 8,
-        val_bytes: 8,
-        ..fp_layout(case)
+    let cfg = Config {
+        initial_buckets: 4,
+        seed: table_seed(case),
+        schedule: case.policy,
+        layout: LayoutConfig {
+            key_bytes: 8,
+            val_bytes: 8,
+            ..fp_layout(case)
+        },
+        migration_quantum: case.migration_quantum,
+        ..Config::default()
     };
-    let mut table = WideDyCuckoo::with_layout(4, 4, table_seed(case), wide_layout, &mut sim)
-        .map_err(setup_err)?;
-    table.set_schedule(case.policy);
+    let mut table = WideDyCuckoo::new(cfg, &mut sim).map_err(setup_err)?;
     let mut model: HashMap<u64, u64> = HashMap::new();
     // Exercise the 64-bit key space: spread the 32-bit fuzz keys across the
     // wide domain deterministically (same key always maps the same way).
     let widen = |k: u32| (k as u64) | (mix64(k as u64) & 0xFFFF_0000_0000_0000);
-    // The wide table migrates only on explicit request; a finite quantum
-    // makes this runner start an upsize every few batches and pump one
-    // bounded chunk after every batch, so finds/inserts/deletes are checked
-    // against the reference while a migration is in flight.
-    let interleave = case.migration_quantum != usize::MAX;
     for (i, batch) in batches(&case.ops).into_iter().enumerate() {
-        if interleave && i % 5 == 4 && !table.migration_in_flight() {
-            table
-                .begin_upsize(&mut sim)
-                .map_err(|e| Violation::new(format!("begin_upsize before batch {i}: {e}")))?;
-        }
         match batch {
             Batch::Insert(kvs) => {
                 let kvs: Vec<(u64, u64)> = kvs
@@ -755,26 +756,12 @@ fn run_wide_case(case: &Case) -> Result<Digest, Violation> {
                 }
                 let keys: Vec<u64> = kvs.iter().map(|&(k, _)| k).collect();
                 let got = table.find_batch(&mut sim, &keys);
-                for (&k, g) in keys.iter().zip(&got) {
-                    let want = model.get(&k).copied();
-                    if *g != want {
-                        return Err(Violation::new(format!(
-                            "after insert batch {i}: find({k:#x}) = {g:?}, reference says {want:?}"
-                        )));
-                    }
-                }
+                check_finds(&format!("after insert batch {i}"), &keys, &got, &model)?;
             }
             Batch::Find(keys) => {
                 let keys: Vec<u64> = keys.iter().map(|&k| widen(k)).collect();
                 let got = table.find_batch(&mut sim, &keys);
-                for (&k, g) in keys.iter().zip(&got) {
-                    let want = model.get(&k).copied();
-                    if *g != want {
-                        return Err(Violation::new(format!(
-                            "find batch {i}: find({k:#x}) = {g:?}, reference says {want:?}"
-                        )));
-                    }
-                }
+                check_finds(&format!("find batch {i}"), &keys, &got, &model)?;
             }
             Batch::Delete(keys) => {
                 let keys: Vec<u64> = keys.iter().map(|&k| widen(k)).collect();
@@ -784,7 +771,10 @@ fn run_wide_case(case: &Case) -> Result<Digest, Violation> {
                         want += 1;
                     }
                 }
-                let got = table.delete_batch(&mut sim, &keys);
+                let got = table
+                    .delete_batch(&mut sim, &keys)
+                    .map_err(|e| Violation::new(format!("delete batch {i} failed: {e}")))?
+                    .deleted;
                 if got != want {
                     return Err(Violation::new(format!(
                         "delete batch {i}: erased {got} keys, reference says {want}"
@@ -799,22 +789,11 @@ fn run_wide_case(case: &Case) -> Result<Digest, Violation> {
                     .upsert_batch(&mut sim, &kvs, rule)
                     .map_err(|e| Violation::new(format!("upsert batch {i} failed: {e}")))?;
                 for &(k, v) in &kvs {
-                    let next = match model.get(&k) {
-                        Some(&old) => rule.merge_u64(old, v),
-                        None => rule.initial_u64(v),
-                    };
-                    model.insert(k, next);
+                    model_upsert(&mut model, k, v, rule);
                 }
                 let keys: Vec<u64> = kvs.iter().map(|&(k, _)| k).collect();
                 let got = table.find_batch(&mut sim, &keys);
-                for (&k, g) in keys.iter().zip(&got) {
-                    let want = model.get(&k).copied();
-                    if *g != want {
-                        return Err(Violation::new(format!(
-                            "after upsert batch {i}: find({k:#x}) = {g:?}, reference says {want:?}"
-                        )));
-                    }
-                }
+                check_finds(&format!("after upsert batch {i}"), &keys, &got, &model)?;
             }
             Batch::Increment(keys) => {
                 let keys: Vec<u64> = keys.iter().map(|&k| widen(k)).collect();
@@ -822,31 +801,12 @@ fn run_wide_case(case: &Case) -> Result<Digest, Violation> {
                     .increment_batch(&mut sim, &keys)
                     .map_err(|e| Violation::new(format!("increment batch {i} failed: {e}")))?;
                 for &k in &keys {
-                    let next = model.get(&k).map_or(1, |&old| old + 1);
-                    model.insert(k, next);
+                    model_upsert(&mut model, k, 0, MergeRule::Count);
                 }
                 let got = table.find_batch(&mut sim, &keys);
-                for (&k, g) in keys.iter().zip(&got) {
-                    let want = model.get(&k).copied();
-                    if *g != want {
-                        return Err(Violation::new(format!(
-                            "after increment batch {i}: find({k:#x}) = {g:?}, reference says {want:?}"
-                        )));
-                    }
-                }
+                check_finds(&format!("after increment batch {i}"), &keys, &got, &model)?;
             }
         }
-        if interleave && table.migration_in_flight() {
-            table
-                .migrate_quantum(&mut sim, case.migration_quantum)
-                .map_err(|e| Violation::new(format!("migrate_quantum after batch {i}: {e}")))?;
-        }
-    }
-    // Quiesce so the length check compares settled tables.
-    while table.migration_in_flight() {
-        table
-            .migrate_quantum(&mut sim, case.migration_quantum)
-            .map_err(|e| Violation::new(format!("final migration drain: {e}")))?;
     }
     if table.len() != model.len() as u64 {
         return Err(Violation::new(format!(
@@ -855,6 +815,9 @@ fn run_wide_case(case: &Case) -> Result<Digest, Violation> {
             model.len()
         )));
     }
+    table
+        .verify_integrity()
+        .map_err(|e| Violation::new(format!("final integrity sweep: {e}")))?;
     let mut d = fold(1, sim.metrics.rounds);
     d = fold(d, sim.metrics.lock_failures);
     d = fold(d, table.len());

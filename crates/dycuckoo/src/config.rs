@@ -1,5 +1,6 @@
 //! Configuration of a [`crate::DyCuckoo`] table.
 
+use gpu_sim::engine::SlotWord;
 use gpu_sim::{LayoutConfig, SchedulePolicy};
 
 use crate::error::Error;
@@ -9,6 +10,11 @@ use crate::error::Error;
 /// letting one warp probe a whole bucket with a single coalesced
 /// transaction. Non-default [`Config::layout`] values sweep other widths.
 pub const BUCKET_SLOTS: usize = 32;
+
+/// Key slots per bucket under the wide table's layout: "suppose the keys
+/// are 8 bytes, a bucket can then accommodate 16 KV pairs" — 16 eight-byte
+/// keys fill one 128-byte line.
+pub const WIDE_BUCKET_SLOTS: usize = 16;
 
 /// How duplicate keys are handled by `insert`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,12 +214,6 @@ impl Config {
         if let Err(e) = self.layout.validate() {
             return Err(Error::InvalidConfig(e));
         }
-        if self.layout.key_bytes != 4 || self.layout.val_bytes != 4 {
-            return Err(Error::InvalidConfig(format!(
-                "DyCuckoo stores 4-byte keys and values; layout declares {}/{}",
-                self.layout.key_bytes, self.layout.val_bytes
-            )));
-        }
         if self.migration_quantum == 0 {
             return Err(Error::InvalidConfig(
                 "migration_quantum must be positive (usize::MAX = stop-the-world)".to_string(),
@@ -223,6 +223,23 @@ impl Config {
             return Err(Error::InvalidConfig(format!(
                 "stash_capacity {} is unreasonably large (max 4096); a stash                  is a cache-line-scale overflow buffer",
                 self.stash_capacity
+            )));
+        }
+        Ok(())
+    }
+
+    /// Check the layout's word widths against a table's key and value
+    /// words — the one width check every table constructor runs after
+    /// [`Self::validate`], so a 4-byte layout cannot build a wide table
+    /// and vice versa.
+    pub fn check_words<K: SlotWord, V: SlotWord>(&self) -> Result<(), Error> {
+        if self.layout.key_bytes != K::BYTES || self.layout.val_bytes != V::BYTES {
+            return Err(Error::InvalidConfig(format!(
+                "this table stores {}-byte keys and {}-byte values; layout declares {}/{}",
+                K::BYTES,
+                V::BYTES,
+                self.layout.key_bytes,
+                self.layout.val_bytes
             )));
         }
         Ok(())
@@ -320,12 +337,19 @@ mod tests {
             layout: LayoutConfig::aos(16, 8, 8),
             ..Config::default()
         };
-        assert!(cfg.validate().is_err(), "8-byte words are the wide table's");
+        cfg.validate().unwrap();
+        assert!(
+            cfg.check_words::<u32, u32>().is_err(),
+            "8-byte words are the wide table's"
+        );
+        cfg.check_words::<u64, u64>().unwrap();
         let cfg = Config {
             layout: LayoutConfig::aos(16, 4, 4),
             ..Config::default()
         };
         cfg.validate().unwrap();
+        cfg.check_words::<u32, u32>().unwrap();
+        assert!(cfg.check_words::<u64, u64>().is_err());
     }
 
     #[test]

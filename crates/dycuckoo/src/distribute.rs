@@ -12,7 +12,7 @@ use gpu_sim::engine::{rotated_index, weighted_index};
 
 use crate::config::Distribution;
 use crate::hashfn::splitmix64;
-use crate::subtable::SubTable;
+use crate::subtable::{SubTable, Word};
 use crate::table::MAX_TABLES;
 
 /// Theorem-1 weight from raw capacity/occupancy numbers: `n_i / C(m_i,
@@ -29,7 +29,7 @@ pub fn weight_of(capacity_slots: u64, occupied: u64) -> f64 {
 
 /// Theorem-1 weight of a subtable: `n_i / C(m_i, 2)`.
 #[inline]
-pub fn weight(table: &SubTable) -> f64 {
+pub fn weight<K: Word, V: Word>(table: &SubTable<K, V>) -> f64 {
     weight_of(table.capacity_slots(), table.occupied())
 }
 
@@ -37,7 +37,8 @@ pub fn weight(table: &SubTable) -> f64 {
 /// subtable weights through a closure, so callers that do not hold
 /// `&[SubTable]` (the host-par backend's striped stores) steer with the
 /// identical coin and sampling rule. Deterministic given
-/// `(seed, key, salt)` and the weights. Allocation-free: the weights of
+/// `(seed, key, salt)` and the weights, where `key` is the key's 32-bit
+/// route value ([`Word::route`]). Allocation-free: the weights of
 /// at most [`MAX_TABLES`] candidates live on the stack.
 pub fn choose_among_by(
     dist: Distribution,
@@ -65,28 +66,15 @@ pub fn choose_among_by(
 
 /// Choose among candidate subtables for a fresh insert. Deterministic
 /// given `(seed, key, salt)`, so batches replay identically.
-pub fn choose_among(
+pub fn choose_among<K: Word, V: Word>(
     dist: Distribution,
-    tables: &[SubTable],
+    tables: &[SubTable<K, V>],
     candidates: &[usize],
     seed: u64,
     key: u32,
     salt: u64,
 ) -> usize {
     choose_among_by(dist, |c| weight(&tables[c]), candidates, seed, key, salt)
-}
-
-/// Choose between the two subtables of a first-layer pair for a fresh
-/// insert (the common two-layer case).
-pub fn choose_target(
-    dist: Distribution,
-    tables: &[SubTable],
-    (i, j): (usize, usize),
-    seed: u64,
-    key: u32,
-    salt: u64,
-) -> usize {
-    choose_among(dist, tables, &[i, j], seed, key, salt)
 }
 
 /// Choose an eviction victim among the slots of a full bucket.
@@ -99,9 +87,9 @@ pub fn choose_target(
 /// steering, because a deterministic argmax revisits the same slots and
 /// lets eviction chains cycle. Under [`Distribution::Uniform`] a
 /// deterministic pseudo-random admissible slot is picked.
-pub fn choose_victim(
+pub fn choose_victim<K: Word, V: Word>(
     dist: Distribution,
-    tables: &[SubTable],
+    tables: &[SubTable<K, V>],
     partner_of: impl Fn(usize) -> Option<usize>,
     n_slots: usize,
     seed: u64,
@@ -165,7 +153,7 @@ mod tests {
         let tables = vec![table_with(4, 120), table_with(4, 0)];
         let mut picked_empty = 0;
         for k in 1..=1000u32 {
-            let c = choose_target(Distribution::Balanced, &tables, (0, 1), 42, k, 0);
+            let c = choose_among(Distribution::Balanced, &tables, &[0, 1], 42, k, 0);
             if c == 1 {
                 picked_empty += 1;
             }
@@ -180,7 +168,7 @@ mod tests {
     fn uniform_choice_is_roughly_even() {
         let tables = vec![table_with(4, 120), table_with(4, 0)];
         let ones: usize = (1..=2000u32)
-            .filter(|&k| choose_target(Distribution::Uniform, &tables, (0, 1), 1, k, 0) == 1)
+            .filter(|&k| choose_among(Distribution::Uniform, &tables, &[0, 1], 1, k, 0) == 1)
             .count();
         assert!((800..1200).contains(&ones), "ones = {ones}");
     }
@@ -189,8 +177,8 @@ mod tests {
     fn choice_is_deterministic() {
         let tables = vec![table_with(4, 10), table_with(4, 20)];
         for k in 1..50u32 {
-            let a = choose_target(Distribution::Balanced, &tables, (0, 1), 9, k, 3);
-            let b = choose_target(Distribution::Balanced, &tables, (0, 1), 9, k, 3);
+            let a = choose_among(Distribution::Balanced, &tables, &[0, 1], 9, k, 3);
+            let b = choose_among(Distribution::Balanced, &tables, &[0, 1], 9, k, 3);
             assert_eq!(a, b);
         }
     }

@@ -324,6 +324,7 @@ impl ParTable {
     /// the sim backend's per-bucket `atomicCAS` locks).
     pub fn new(cfg: Config, threads: usize) -> Result<Self> {
         cfg.validate()?;
+        cfg.check_words::<u32, u32>()?;
         if threads == 0 {
             return Err(Error::InvalidConfig(
                 "host-par needs at least one worker thread".to_string(),

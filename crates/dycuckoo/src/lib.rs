@@ -20,6 +20,10 @@
 //!   online and the size ratio within 2× ([`resize`], [`rehash`]).
 //! * **Theorem-1 load balancing**: inserts and evictions are steered with
 //!   probability proportional to `n_i / C(m_i,2)` ([`distribute`]).
+//! * **Wide KV pairs**: because a warp locks a whole bucket, the same
+//!   algorithm serves 8-byte keys and values, 16 per 128-byte line. The
+//!   table ([`CuckooTable`]) is generic over its key and value [`Word`]s;
+//!   [`DyCuckoo`] and [`WideDyCuckoo`] are its 4- and 8-byte instances.
 //!
 //! See the repository's `DESIGN.md` for how each paper section maps to a
 //! module, and `EXPERIMENTS.md` for the reproduced evaluation.
@@ -39,16 +43,25 @@ pub mod subtable;
 pub mod table;
 pub mod two_layer;
 pub mod unsized_kv;
-pub mod wide;
 
-pub use config::{Config, Coordination, Distribution, DupPolicy, Layering, BUCKET_SLOTS};
+pub use config::{
+    Config, Coordination, Distribution, DupPolicy, Layering, BUCKET_SLOTS, WIDE_BUCKET_SLOTS,
+};
 pub use error::{Error, Result};
 pub use host_par::{ParReport, ParTable};
 pub use resize::ResizeOp;
 pub use rmw::MergeRule;
 pub use stats::{SubTableStats, TableStats};
+pub use subtable::Word;
 pub use table::{
-    buckets_for_load, mixed_bucket_sizes, BatchReport, DyCuckoo, ResizeEvent, UpsertReport,
+    buckets_for_load, mixed_bucket_sizes, BatchReport, CuckooTable, DyCuckoo, ResizeEvent,
+    UpsertReport, WideDyCuckoo,
 };
 pub use unsized_kv::{UnsizedConfig, UnsizedReport, UnsizedStats, UnsizedTable};
-pub use wide::WideDyCuckoo;
+
+/// Width-specific tests of the 64-bit instantiation, [`WideDyCuckoo`]:
+/// what the 32-bit tests cannot reach.
+#[cfg(test)]
+mod wide {
+    mod tests;
+}

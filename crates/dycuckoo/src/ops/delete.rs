@@ -11,12 +11,12 @@
 use gpu_sim::{run_rounds_with, Metrics, RoundCtx, RoundKernel, StepOutcome};
 
 use crate::config::DupPolicy;
-use crate::subtable::SubTable;
+use crate::subtable::{SubTable, Word};
 use crate::table::migration::{MigrationView, Route};
 use crate::table::TableShape;
 
-pub(crate) struct DeleteWarp {
-    keys: Vec<u32>,
+pub(crate) struct DeleteWarp<K> {
+    keys: Vec<K>,
     cur: usize,
     cand_idx: usize,
     /// Whether the current key has erased at least one slot so far
@@ -24,32 +24,32 @@ pub(crate) struct DeleteWarp {
     erased_cur: bool,
 }
 
-struct DeleteKernel<'a> {
-    tables: &'a mut [SubTable],
+struct DeleteKernel<'a, K: Word, V: Word> {
+    tables: &'a mut [SubTable<K, V>],
     shape: &'a TableShape,
     /// In-flight incremental migration: probes of the draining subtable are
     /// routed per key to its old or fresh bucket — still exactly one probe
     /// per candidate subtable, so the two-lookup bound holds mid-migration.
-    migration: Option<(MigrationView, &'a mut SubTable)>,
+    migration: Option<(MigrationView, &'a mut SubTable<K, V>)>,
     deleted: u64,
 }
 
-impl RoundKernel<DeleteWarp> for DeleteKernel<'_> {
-    fn step(&mut self, warp: &mut DeleteWarp, ctx: &mut RoundCtx) -> StepOutcome {
+impl<K: Word, V: Word> RoundKernel<DeleteWarp<K>> for DeleteKernel<'_, K, V> {
+    fn step(&mut self, warp: &mut DeleteWarp<K>, ctx: &mut RoundCtx) -> StepOutcome {
         let Some(&key) = warp.keys.get(warp.cur) else {
             return StepOutcome::Done;
         };
-        let cands = self.shape.candidates(key);
+        let cands = self.shape.candidates(key.route());
         let t = cands.get(warp.cand_idx);
         let hash = &self.shape.hashes[t];
-        let (table, bucket): (&mut SubTable, usize) = match self.migration.as_mut() {
-            Some((view, fresh)) if view.table == t => match view.route(hash, key) {
+        let (table, bucket): (&mut SubTable<K, V>, usize) = match self.migration.as_mut() {
+            Some((view, fresh)) if view.table == t => match view.route(hash, key.route()) {
                 Route::Old(b) => (&mut self.tables[t], b),
                 Route::Fresh(b) => (&mut **fresh, b),
             },
             _ => {
                 let n = self.tables[t].n_buckets();
-                (&mut self.tables[t], hash.bucket(key, n))
+                (&mut self.tables[t], hash.bucket(key.route(), n))
             }
         };
         let mut finished = false;
@@ -71,7 +71,7 @@ impl RoundKernel<DeleteWarp> for DeleteKernel<'_> {
                 obs::emit(obs::Event::OpRetired {
                     kind: obs::OpKind::Delete,
                     op: 0,
-                    key: key as u64,
+                    key: key.into(),
                     outcome: if warp.erased_cur {
                         obs::OpOutcome::Deleted
                     } else {
@@ -95,14 +95,14 @@ impl RoundKernel<DeleteWarp> for DeleteKernel<'_> {
 }
 
 /// Execute a batched delete. Returns the number of erased slots.
-pub(crate) fn delete_batch<'a>(
-    tables: &'a mut [SubTable],
+pub(crate) fn delete_batch<'a, K: Word, V: Word>(
+    tables: &'a mut [SubTable<K, V>],
     shape: &'a TableShape,
-    keys: &[u32],
-    migration: Option<(MigrationView, &'a mut SubTable)>,
+    keys: &[K],
+    migration: Option<(MigrationView, &'a mut SubTable<K, V>)>,
     metrics: &mut Metrics,
 ) -> u64 {
-    let mut warps: Vec<DeleteWarp> = keys
+    let mut warps: Vec<DeleteWarp<K>> = keys
         .chunks(gpu_sim::WARP_SIZE)
         .map(|chunk| DeleteWarp {
             keys: chunk.to_vec(),

@@ -11,13 +11,13 @@
 
 use gpu_sim::{run_rounds_with, Metrics, RoundCtx, RoundKernel, StepOutcome};
 
-use crate::subtable::SubTable;
+use crate::subtable::{SubTable, Word};
 use crate::table::migration::{MigrationView, Route};
 use crate::table::TableShape;
 
 /// Per-warp state: a slice of keys processed one at a time (warp-centric).
-pub(crate) struct FindWarp {
-    keys: Vec<u32>,
+pub(crate) struct FindWarp<K> {
+    keys: Vec<K>,
     /// Index of this warp's first result in the output vector.
     out_base: usize,
     cur: usize,
@@ -25,33 +25,36 @@ pub(crate) struct FindWarp {
     cand_idx: usize,
 }
 
-struct FindKernel<'a> {
-    tables: &'a [SubTable],
+struct FindKernel<'a, K: Word, V: Word> {
+    tables: &'a [SubTable<K, V>],
     shape: &'a TableShape,
     /// In-flight incremental migration: probes of the draining subtable are
     /// routed per key to its old or fresh bucket — still exactly one probe
     /// per candidate subtable, so the two-lookup bound holds mid-migration.
-    migration: Option<(MigrationView, &'a SubTable)>,
-    results: &'a mut [Option<u32>],
+    migration: Option<(MigrationView, &'a SubTable<K, V>)>,
+    results: &'a mut [Option<V>],
 }
 
-impl RoundKernel<FindWarp> for FindKernel<'_> {
-    fn step(&mut self, warp: &mut FindWarp, ctx: &mut RoundCtx) -> StepOutcome {
+impl<K: Word, V: Word> RoundKernel<FindWarp<K>> for FindKernel<'_, K, V> {
+    fn step(&mut self, warp: &mut FindWarp<K>, ctx: &mut RoundCtx) -> StepOutcome {
         let Some(&key) = warp.keys.get(warp.cur) else {
             return StepOutcome::Done;
         };
-        let cands = self.shape.candidates(key);
+        let cands = self.shape.candidates(key.route());
         let t = cands.get(warp.cand_idx);
         let (table, bucket) = match self.migration {
             Some((view, fresh)) if view.table == t => {
-                match view.route(&self.shape.hashes[t], key) {
+                match view.route(&self.shape.hashes[t], key.route()) {
                     Route::Old(b) => (&self.tables[t], b),
                     Route::Fresh(b) => (fresh, b),
                 }
             }
             _ => {
                 let table = &self.tables[t];
-                (table, self.shape.hashes[t].bucket(key, table.n_buckets()))
+                (
+                    table,
+                    self.shape.hashes[t].bucket(key.route(), table.n_buckets()),
+                )
             }
         };
         if let Some(slot) = table.probe_find(bucket, key, ctx) {
@@ -62,7 +65,7 @@ impl RoundKernel<FindWarp> for FindKernel<'_> {
                 obs::emit(obs::Event::OpRetired {
                     kind: obs::OpKind::Find,
                     op: 0,
-                    key: key as u64,
+                    key: key.into(),
                     outcome: obs::OpOutcome::Hit,
                     probes: warp.cand_idx as u32 + 1,
                     evict_depth: 0,
@@ -79,7 +82,7 @@ impl RoundKernel<FindWarp> for FindKernel<'_> {
                     obs::emit(obs::Event::OpRetired {
                         kind: obs::OpKind::Find,
                         op: 0,
-                        key: key as u64,
+                        key: key.into(),
                         outcome: obs::OpOutcome::Miss,
                         probes: warp.cand_idx as u32,
                         evict_depth: 0,
@@ -98,16 +101,16 @@ impl RoundKernel<FindWarp> for FindKernel<'_> {
     }
 }
 
-/// Execute a batched find. Returns one `Option<u32>` per key, in order.
-pub(crate) fn find_batch<'a>(
-    tables: &'a [SubTable],
+/// Execute a batched find. Returns one `Option<value>` per key, in order.
+pub(crate) fn find_batch<'a, K: Word, V: Word>(
+    tables: &'a [SubTable<K, V>],
     shape: &'a TableShape,
-    keys: &[u32],
-    migration: Option<(MigrationView, &'a SubTable)>,
+    keys: &[K],
+    migration: Option<(MigrationView, &'a SubTable<K, V>)>,
     metrics: &mut Metrics,
-) -> Vec<Option<u32>> {
+) -> Vec<Option<V>> {
     let mut results = vec![None; keys.len()];
-    let mut warps: Vec<FindWarp> = Vec::with_capacity(keys.len() / 32 + 1);
+    let mut warps: Vec<FindWarp<K>> = Vec::with_capacity(keys.len() / 32 + 1);
     let mut base = 0;
     for chunk in keys.chunks(gpu_sim::WARP_SIZE) {
         warps.push(FindWarp {

@@ -28,7 +28,7 @@ use gpu_sim::{ballot, run_rounds_with, Metrics, RoundCtx, RoundKernel, StepOutco
 use crate::config::{Coordination, Distribution, DupPolicy, Layering};
 use crate::distribute::{choose_among, choose_victim};
 use crate::rmw::MergeRule;
-use crate::subtable::{SubTable, EMPTY_KEY};
+use crate::subtable::{SubTable, Word};
 use crate::table::migration::{MigrationView, Route};
 use crate::table::{TableShape, MAX_TABLES};
 
@@ -50,9 +50,9 @@ enum Phase {
 
 /// One insert operation, owned by one lane.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct InsertOp {
-    pub key: u32,
-    pub val: u32,
+pub(crate) struct InsertOp<K, V> {
+    pub key: K,
+    pub val: V,
     /// Deterministic per-op randomness source (global op index). Constant
     /// across the op's whole eviction chain, so it doubles as the chain id
     /// in flight-recorder events.
@@ -82,7 +82,7 @@ pub(crate) struct InsertOp {
 /// Emit the op's flight-recorder retirement event. Call at every point
 /// that clears the op's active bit (or pushes it to `failed`).
 #[inline]
-fn retire(op: &InsertOp, outcome: obs::OpOutcome) {
+fn retire<K: Word, V: Word>(op: &InsertOp<K, V>, outcome: obs::OpOutcome) {
     if obs::is_enabled() {
         // Tracked RMW ops retire as `Upsert`; eviction carries and plain
         // inserts (out_idx cleared / never set) as `Insert`.
@@ -94,7 +94,7 @@ fn retire(op: &InsertOp, outcome: obs::OpOutcome) {
         obs::emit(obs::Event::OpRetired {
             kind,
             op: op.salt,
-            key: op.key as u64,
+            key: op.key.into(),
             outcome,
             probes: op.probes,
             evict_depth: op.evictions,
@@ -103,28 +103,17 @@ fn retire(op: &InsertOp, outcome: obs::OpOutcome) {
     }
 }
 
-impl InsertOp {
+impl<K: Word, V: Word> InsertOp<K, V> {
     /// A fresh insert of `(key, val)`.
-    pub fn fresh(key: u32, val: u32, salt: u64) -> Self {
-        Self {
-            key,
-            val,
-            salt,
-            evictions: 0,
-            phase: Phase::Init,
-            skip_dup_check: false,
-            probes: 0,
-            lock_waits: 0,
-            rule: MergeRule::LastWrite,
-            out_idx: u32::MAX,
-        }
+    pub fn fresh(key: K, val: V, salt: u64) -> Self {
+        Self::upsert(key, val, salt, MergeRule::LastWrite, u32::MAX)
     }
 
     /// A fresh read-modify-write op: insert `rule.initial(arg)` if `key` is
     /// absent, merge `rule.merge(old, arg)` under the claim lock if present.
     /// `out_idx` tags the op in [`InsertOutcome::merged`] (`u32::MAX` to
     /// opt out of tracking).
-    pub fn upsert(key: u32, arg: u32, salt: u64, rule: MergeRule, out_idx: u32) -> Self {
+    pub fn upsert(key: K, arg: V, salt: u64, rule: MergeRule, out_idx: u32) -> Self {
         Self {
             key,
             val: arg,
@@ -142,33 +131,25 @@ impl InsertOp {
     /// A re-insert of a key known not to reside in the table (resize
     /// residuals, failed-op retries): routed normally but without the
     /// Upsert duplicate pre-probe.
-    pub fn reinsert(key: u32, val: u32, salt: u64) -> Self {
+    pub fn reinsert(key: K, val: V, salt: u64) -> Self {
         Self {
-            key,
-            val,
-            salt,
-            evictions: 0,
-            phase: Phase::Init,
             skip_dup_check: true,
-            probes: 0,
-            lock_waits: 0,
-            rule: MergeRule::LastWrite,
-            out_idx: u32::MAX,
+            ..Self::fresh(key, val, salt)
         }
     }
 }
 
 /// Per-warp state: up to 32 lane-owned operations plus the voter cursor.
-pub(crate) struct InsertWarp {
-    ops: Vec<InsertOp>,
+pub(crate) struct InsertWarp<K, V> {
+    ops: Vec<InsertOp<K, V>>,
     active: u32,
     /// Re-vote rotation: advanced whenever a leader fails its lock, so the
     /// next vote elects a different lane (Algorithm 1, line "revote").
     rr: usize,
 }
 
-impl InsertWarp {
-    fn new(ops: Vec<InsertOp>) -> Self {
+impl<K, V> InsertWarp<K, V> {
+    fn new(ops: Vec<InsertOp<K, V>>) -> Self {
         debug_assert!(ops.len() <= WARP_SIZE);
         let active = if ops.len() == 32 {
             u32::MAX
@@ -181,7 +162,7 @@ impl InsertWarp {
 
 /// Outputs of one insert kernel execution.
 #[derive(Debug, Default)]
-pub(crate) struct InsertOutcome {
+pub(crate) struct InsertOutcome<K, V> {
     /// KVs placed into previously empty slots.
     pub inserted: u64,
     /// KVs that updated an existing key in place.
@@ -191,15 +172,15 @@ pub(crate) struct InsertOutcome {
     /// retries these. Unapplied merges are materialized at the failure
     /// site (`val = rule.initial(arg)`, rule reset to `LastWrite`), so
     /// retry paths may re-insert the KV verbatim.
-    pub failed: Vec<InsertOp>,
+    pub failed: Vec<InsertOp<K, V>>,
     /// `out_idx` tags of tracked ops that merged into an existing key
     /// (the key was already present). Tracked ops absent from this list
     /// placed a fresh key — the signal frontier-dedup workloads consume.
     pub merged: Vec<u32>,
 }
 
-struct InsertKernel<'a> {
-    tables: &'a mut [SubTable],
+struct InsertKernel<'a, K: Word, V: Word> {
+    tables: &'a mut [SubTable<K, V>],
     shape: &'a TableShape,
     /// Subtable excluded from targeting and victim selection (set while it
     /// is being downsized).
@@ -208,22 +189,22 @@ struct InsertKernel<'a> {
     /// routed per key to its old or fresh bucket (see
     /// [`crate::table::migration`]). The two-lookup bound is preserved —
     /// each candidate subtable still costs exactly one bucket probe.
-    migration: Option<(MigrationView, &'a mut SubTable)>,
-    out: InsertOutcome,
+    migration: Option<(MigrationView, &'a mut SubTable<K, V>)>,
+    out: InsertOutcome<K, V>,
     /// Fault injection (see [`crate::Config::inject_lock_elision`]): probe
     /// steps skip bucket locks and read these stale bucket snapshots
     /// (captured on first touch, held for the whole kernel launch) while
     /// their writes land in the live table — the lost-update race a missing
     /// lock produces on real hardware, where a thread keeps acting on the
     /// bucket image it cached without the lock's acquire to refresh it.
-    stale_buckets: Option<HashMap<(usize, usize), Vec<u32>>>,
+    stale_buckets: Option<HashMap<(usize, usize), Vec<K>>>,
 }
 
-impl InsertKernel<'_> {
+impl<K: Word, V: Word> InsertKernel<'_, K, V> {
     /// The bucket's keys as of the first time any op touched it this kernel
     /// launch (first touch snapshots the live bucket). Fresh-side buckets
     /// are keyed under `t + MAX_TABLES` so they never alias old-side snaps.
-    fn stale_keys(&mut self, t: usize, b: usize, in_fresh: bool) -> &[u32] {
+    fn stale_keys(&mut self, t: usize, b: usize, in_fresh: bool) -> &[K] {
         let tables = &*self.tables;
         let migration = &self.migration;
         let snaps = self.stale_buckets.as_mut().expect("injection enabled");
@@ -241,21 +222,21 @@ impl InsertKernel<'_> {
 
     /// Resolve the bucket, lock space and side for `key` in subtable `t`,
     /// honouring an in-flight migration of that subtable.
-    fn locate(&self, t: usize, key: u32) -> (usize, u32, bool) {
+    fn locate(&self, t: usize, key: K) -> (usize, u32, bool) {
         if let Some((view, _)) = &self.migration {
             if view.table == t {
-                return match view.route(&self.shape.hashes[t], key) {
+                return match view.route(&self.shape.hashes[t], key.route()) {
                     Route::Old(b) => (b, t as u32, false),
                     Route::Fresh(b) => (b, view.fresh_space(), true),
                 };
             }
         }
-        let b = self.shape.hashes[t].bucket(key, self.tables[t].n_buckets());
+        let b = self.shape.hashes[t].bucket(key.route(), self.tables[t].n_buckets());
         (b, t as u32, false)
     }
 
     /// The store a located bucket lives in.
-    fn store(&mut self, t: usize, in_fresh: bool) -> &mut SubTable {
+    fn store(&mut self, t: usize, in_fresh: bool) -> &mut SubTable<K, V> {
         if in_fresh {
             self.migration.as_mut().expect("fresh without migration").1
         } else {
@@ -264,23 +245,21 @@ impl InsertKernel<'_> {
     }
 
     /// Read-only view of a located bucket's store.
-    fn store_ro(&self, t: usize, in_fresh: bool) -> &SubTable {
+    fn store_ro(&self, t: usize, in_fresh: bool) -> &SubTable<K, V> {
         if in_fresh {
             self.migration.as_ref().expect("fresh without migration").1
         } else {
             &self.tables[t]
         }
     }
-}
 
-impl InsertKernel<'_> {
     /// Apply the op's merge into an existing slot under the held lock:
     /// read the old value when the rule needs it (one value-read line;
     /// `LastWrite` blind-writes and charges nothing extra), write the
     /// merged value, and record the op as non-fresh.
     fn merge_in_place(
         &mut self,
-        op: &InsertOp,
+        op: &InsertOp<K, V>,
         t: usize,
         b: usize,
         slot: usize,
@@ -306,7 +285,7 @@ impl InsertKernel<'_> {
     /// absent, so the retry must insert `rule.initial(arg)` — ops already
     /// in an eviction chain carry a victim's literal KV and are left
     /// alone), then retire and push to `failed`.
-    fn fail(&mut self, warp: &mut InsertWarp, leader: usize, mut op: InsertOp) {
+    fn fail(&mut self, warp: &mut InsertWarp<K, V>, leader: usize, mut op: InsertOp<K, V>) {
         if op.evictions == 0 {
             op.val = op.rule.initial(op.val);
             op.rule = MergeRule::LastWrite;
@@ -318,8 +297,8 @@ impl InsertKernel<'_> {
 
     /// Pick the initial second-layer target for a fresh op, honouring the
     /// exclusion.
-    fn route(&self, op: &InsertOp) -> usize {
-        let cands = self.shape.candidates(op.key);
+    fn route(&self, op: &InsertOp<K, V>) -> usize {
+        let cands = self.shape.candidates(op.key.route());
         let viable: Vec<usize> = cands.iter().filter(|&c| Some(c) != self.excluded).collect();
         debug_assert!(!viable.is_empty(), "all candidates excluded");
         choose_among(
@@ -327,15 +306,15 @@ impl InsertKernel<'_> {
             self.tables,
             &viable,
             self.shape.cfg.seed,
-            op.key,
+            op.key.route(),
             op.salt,
         )
     }
 
     /// The next candidate bucket for a fresh op re-routing off a full
     /// bucket: the candidate after `t`, cyclically, skipping the exclusion.
-    fn next_candidate(&self, key: u32, t: usize) -> Option<usize> {
-        let cands = self.shape.candidates(key);
+    fn next_candidate(&self, key: K, t: usize) -> Option<usize> {
+        let cands = self.shape.candidates(key.route());
         let pos = cands.position(t)?;
         for off in 1..cands.len() {
             let c = cands.get((pos + off) % cands.len());
@@ -350,9 +329,9 @@ impl InsertKernel<'_> {
     #[allow(clippy::too_many_arguments)]
     fn evict(
         &mut self,
-        warp: &mut InsertWarp,
+        warp: &mut InsertWarp<K, V>,
         leader: usize,
-        op: InsertOp,
+        op: InsertOp<K, V>,
         t: usize,
         b: usize,
         in_fresh: bool,
@@ -365,8 +344,8 @@ impl InsertKernel<'_> {
             // Pair layerings: a victim's destination is its pair's other
             // member; prefer victims whose destination has the most room.
             Layering::TwoLayer | Layering::DisjointPairs => {
-                let tables_ro: &[SubTable] = self.tables;
-                let store_ro: &SubTable = if in_fresh {
+                let tables_ro: &[SubTable<K, V>] = self.tables;
+                let store_ro: &SubTable<K, V> = if in_fresh {
                     self.migration.as_ref().expect("fresh without migration").1
                 } else {
                     &tables_ro[t]
@@ -376,7 +355,7 @@ impl InsertKernel<'_> {
                     tables_ro,
                     |s| {
                         let (k, _) = store_ro.slot(b, s);
-                        shape.evict_destination(tables_ro, k, t, excluded, salt)
+                        shape.evict_destination(tables_ro, k.route(), t, excluded, salt)
                     },
                     shape.cfg.layout.slots,
                     shape.cfg.seed,
@@ -403,10 +382,13 @@ impl InsertKernel<'_> {
             }
             Some(slot) => {
                 let victim_key = self.store_ro(t, in_fresh).slot(b, slot).0;
-                let Some(next) =
-                    self.shape
-                        .evict_destination(self.tables, victim_key, t, excluded, salt)
-                else {
+                let Some(next) = self.shape.evict_destination(
+                    self.tables,
+                    victim_key.route(),
+                    t,
+                    excluded,
+                    salt,
+                ) else {
                     self.fail(warp, leader, op);
                     return;
                 };
@@ -422,8 +404,8 @@ impl InsertKernel<'_> {
                 if obs::is_enabled() {
                     obs::emit(obs::Event::EvictStep {
                         op: op.salt,
-                        placed_key: op.key as u64,
-                        carried_key: ek as u64,
+                        placed_key: op.key.into(),
+                        carried_key: ek.into(),
                         from_table: t as u8,
                         to_table: next as u8,
                         depth: op.evictions + 1,
@@ -449,8 +431,8 @@ impl InsertKernel<'_> {
     }
 }
 
-impl RoundKernel<InsertWarp> for InsertKernel<'_> {
-    fn step(&mut self, warp: &mut InsertWarp, ctx: &mut RoundCtx) -> StepOutcome {
+impl<K: Word, V: Word> RoundKernel<InsertWarp<K, V>> for InsertKernel<'_, K, V> {
+    fn step(&mut self, warp: &mut InsertWarp<K, V>, ctx: &mut RoundCtx) -> StepOutcome {
         let mask = ballot(|l| warp.active & (1 << l) != 0);
         if mask == 0 {
             return StepOutcome::Done;
@@ -461,14 +443,14 @@ impl RoundKernel<InsertWarp> for InsertKernel<'_> {
         match op.phase {
             Phase::Init => {
                 let reroutes = if self.shape.cfg.reroute_before_evict {
-                    self.shape.candidates(op.key).len() as u8 - 1
+                    self.shape.candidates(op.key.route()).len() as u8 - 1
                 } else {
                     0
                 };
                 if self.shape.cfg.dup_policy == DupPolicy::Upsert && !op.skip_dup_check {
                     // Optimistic duplicate probe of every candidate bucket.
                     let mut found = None;
-                    for t in self.shape.candidates(op.key).iter() {
+                    for t in self.shape.candidates(op.key.route()).iter() {
                         let (b, _, in_fresh) = self.locate(t, op.key);
                         warp.ops[leader].probes += 1;
                         if self
@@ -514,7 +496,7 @@ impl RoundKernel<InsertWarp> for InsertKernel<'_> {
                     warp.active &= !(1 << leader);
                 } else {
                     let reroutes = if self.shape.cfg.reroute_before_evict {
-                        self.shape.candidates(op.key).len() as u8 - 1
+                        self.shape.candidates(op.key.route()).len() as u8 - 1
                     } else {
                         0
                     };
@@ -543,14 +525,14 @@ impl RoundKernel<InsertWarp> for InsertKernel<'_> {
                     let op = warp.ops[leader];
                     let snap = self.stale_keys(t, b, in_fresh);
                     let dup = snap.iter().position(|&k| k == op.key);
-                    let empty = snap.iter().position(|&k| k == EMPTY_KEY);
+                    let empty = snap.iter().position(|&k| k == K::EMPTY);
                     if let Some(slot) = dup {
                         self.merge_in_place(&op, t, b, slot, in_fresh, ctx);
                         retire(&op, obs::OpOutcome::Updated);
                         warp.active &= !(1 << leader);
                     } else if let Some(slot) = empty {
                         let stored = op.rule.initial(op.val);
-                        if self.store_ro(t, in_fresh).slot(b, slot).0 == EMPTY_KEY {
+                        if self.store_ro(t, in_fresh).slot(b, slot).0 == K::EMPTY {
                             self.store(t, in_fresh).write_new(b, slot, op.key, stored);
                         } else {
                             // The slot was claimed earlier this round: the
@@ -640,15 +622,15 @@ impl RoundKernel<InsertWarp> for InsertKernel<'_> {
 /// `metrics.ops` — the public API counts each user operation exactly once,
 /// so internal reuse (resize residuals, failure retries) stays out of the
 /// throughput denominator.
-pub(crate) fn insert_batch<'a>(
-    tables: &'a mut [SubTable],
+pub(crate) fn insert_batch<'a, K: Word, V: Word>(
+    tables: &'a mut [SubTable<K, V>],
     shape: &'a TableShape,
-    ops: Vec<InsertOp>,
+    ops: Vec<InsertOp<K, V>>,
     excluded: Option<usize>,
-    migration: Option<(MigrationView, &'a mut SubTable)>,
+    migration: Option<(MigrationView, &'a mut SubTable<K, V>)>,
     metrics: &mut Metrics,
-) -> InsertOutcome {
-    let mut warps: Vec<InsertWarp> = super::pack_warps(ops)
+) -> InsertOutcome<K, V> {
+    let mut warps: Vec<InsertWarp<K, V>> = super::pack_warps(ops)
         .into_iter()
         .map(InsertWarp::new)
         .collect();

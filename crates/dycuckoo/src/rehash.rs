@@ -20,11 +20,11 @@
 //! [`crate::DyCuckoo::verify_integrity`] can cross-check the footprint.
 
 use gpu_sim::ChargeKind;
-use gpu_sim::{Metrics, SimContext};
+use gpu_sim::SimContext;
 
 use crate::error::Result;
 use crate::ops::insert::InsertOp;
-use crate::subtable::SubTable;
+use crate::subtable::{SubTable, Word};
 use crate::table::TableShape;
 
 /// Statistics of one resize kernel execution.
@@ -38,8 +38,8 @@ pub struct RehashReport {
 }
 
 /// Double subtable `idx` in place. Conflict-free: no locks, one round.
-pub(crate) fn upsize(
-    tables: &mut [SubTable],
+pub(crate) fn upsize<K: Word, V: Word>(
+    tables: &mut [SubTable<K, V>],
     idx: usize,
     shape: &TableShape,
     sim: &mut SimContext,
@@ -54,7 +54,7 @@ pub(crate) fn upsize(
     *ledger += new_bytes;
 
     let hash = &shape.hashes[idx];
-    let mut fresh = SubTable::new(new_n, layout);
+    let mut fresh = SubTable::<K, V>::new(new_n, layout);
     let m = &mut sim.metrics;
     m.charge(ChargeKind::Rounds, 1); // every old bucket is handled by an independent warp
     let old = &tables[idx];
@@ -66,10 +66,10 @@ pub(crate) fn upsize(
         let mut wrote_hi = false;
         for s in 0..old.slots_per_bucket() {
             let (k, v) = old.slot(b, s);
-            if k == crate::subtable::EMPTY_KEY {
+            if k == K::EMPTY {
                 continue;
             }
-            let nb = hash.bucket(k, new_n);
+            let nb = hash.bucket(k.route(), new_n);
             debug_assert!(
                 nb == b || nb == b + old_n,
                 "upsize moved key across buckets"
@@ -104,12 +104,12 @@ pub(crate) fn upsize(
 /// Halve subtable `idx`. Residual KVs that overflow the merged buckets are
 /// returned as re-insert operations targeted at their partner subtables;
 /// the caller runs them through the insert kernel with `idx` excluded.
-pub(crate) fn downsize_collect(
-    tables: &mut [SubTable],
+pub(crate) fn downsize_collect<K: Word, V: Word>(
+    tables: &mut [SubTable<K, V>],
     idx: usize,
     sim: &mut SimContext,
     ledger: &mut u64,
-) -> Result<(RehashReport, Vec<InsertOp>)> {
+) -> Result<(RehashReport, Vec<InsertOp<K, V>>)> {
     let layout = *tables[idx].layout();
     let drain = layout.drain_lines();
     let old_n = tables[idx].n_buckets();
@@ -122,8 +122,8 @@ pub(crate) fn downsize_collect(
     sim.device.alloc(new_bytes)?;
     *ledger += new_bytes;
 
-    let mut fresh = SubTable::new(new_n, layout);
-    let mut residuals: Vec<InsertOp> = Vec::new();
+    let mut fresh = SubTable::<K, V>::new(new_n, layout);
+    let mut residuals: Vec<InsertOp<K, V>> = Vec::new();
     let m = &mut sim.metrics;
     m.charge(ChargeKind::Rounds, 1);
     let old = &tables[idx];
@@ -135,7 +135,7 @@ pub(crate) fn downsize_collect(
         for ob in [nb, nb + new_n] {
             for s in 0..old.slots_per_bucket() {
                 let (k, v) = old.slot(ob, s);
-                if k == crate::subtable::EMPTY_KEY {
+                if k == K::EMPTY {
                     continue;
                 }
                 if let Some(slot) = fresh.find_empty(nb) {
@@ -161,19 +161,4 @@ pub(crate) fn downsize_collect(
         residuals: residuals.len() as u64,
     };
     Ok((report, residuals))
-}
-
-/// Rehash *everything* into freshly sized subtables — the naive strategy the
-/// paper's resize experiment compares against (and the strategy MegaKV is
-/// forced to use). Exposed for the F7 resize experiment and ablations.
-pub fn full_rehash_cost_reference(tables: &[SubTable]) -> Metrics {
-    // Reference cost of reading every bucket and rewriting every KV; used
-    // only for documentation-level sanity checks in tests.
-    let mut m = Metrics::default();
-    for t in tables {
-        let drain = t.layout().drain_lines();
-        m.read_transactions += drain * t.n_buckets() as u64;
-        m.write_transactions += drain * t.n_buckets() as u64;
-    }
-    m
 }

@@ -5,8 +5,12 @@
 //! halved for downsizing. Only that subtable is locked; the others keep
 //! serving operations. The policy maintains the invariant that no subtable
 //! is more than twice the size of any other.
+//!
+//! The policy reads only each subtable's bucket count, capacity and
+//! occupancy ([`SubTableStats`]), so any backend that can report those
+//! numbers can run it.
 
-use crate::subtable::SubTable;
+use crate::stats::SubTableStats;
 
 /// A single resize decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,9 +22,9 @@ pub enum ResizeOp {
 }
 
 /// Overall filled factor `θ = Σm_i / Σn_i`.
-pub fn overall_fill(tables: &[SubTable]) -> f64 {
-    let m: u64 = tables.iter().map(|t| t.occupied()).sum();
-    let n: u64 = tables.iter().map(|t| t.capacity_slots()).sum();
+pub fn overall_fill(tables: &[SubTableStats]) -> f64 {
+    let m: u64 = tables.iter().map(|t| t.occupied).sum();
+    let n: u64 = tables.iter().map(|t| t.capacity_slots).sum();
     if n == 0 {
         0.0
     } else {
@@ -30,9 +34,9 @@ pub fn overall_fill(tables: &[SubTable]) -> f64 {
 
 /// Index of the subtable to upsize: the smallest, breaking ties toward the
 /// fullest (it benefits most) and then the lowest index (determinism).
-pub fn upsize_candidate(tables: &[SubTable]) -> usize {
+pub fn upsize_candidate(tables: &[SubTableStats]) -> usize {
     (0..tables.len())
-        .min_by_key(|&i| (tables[i].n_buckets(), u64::MAX - tables[i].occupied(), i))
+        .min_by_key(|&i| (tables[i].n_buckets, u64::MAX - tables[i].occupied, i))
         .expect("at least one subtable")
 }
 
@@ -40,13 +44,13 @@ pub fn upsize_candidate(tables: &[SubTable]) -> usize {
 /// halved cleanly (even, > 1), breaking ties toward the emptiest (cheapest
 /// merge, fewest residuals) and then the lowest index. `None` when no
 /// subtable can shrink further.
-pub fn downsize_candidate(tables: &[SubTable]) -> Option<usize> {
+pub fn downsize_candidate(tables: &[SubTableStats]) -> Option<usize> {
     (0..tables.len())
-        .filter(|&i| tables[i].n_buckets() > 1 && tables[i].n_buckets().is_multiple_of(2))
+        .filter(|&i| tables[i].n_buckets > 1 && tables[i].n_buckets.is_multiple_of(2))
         .max_by_key(|&i| {
             (
-                tables[i].n_buckets(),
-                u64::MAX - tables[i].occupied(),
+                tables[i].n_buckets,
+                u64::MAX - tables[i].occupied,
                 usize::MAX - i,
             )
         })
@@ -67,7 +71,7 @@ pub enum Direction {
 ///
 /// Downsizing stops at single-bucket subtables; an empty table simply stays
 /// at its minimum footprint.
-pub fn decide(tables: &[SubTable], alpha: f64, beta: f64, dir: Direction) -> Option<ResizeOp> {
+pub fn decide(tables: &[SubTableStats], alpha: f64, beta: f64, dir: Direction) -> Option<ResizeOp> {
     let theta = overall_fill(tables);
     if theta > beta {
         return Some(ResizeOp::Upsize(upsize_candidate(tables)));
@@ -135,7 +139,7 @@ impl Decision {
     /// the cooldown yields `None` (no resize) instead of thrash.
     pub fn decide(
         &self,
-        tables: &[SubTable],
+        tables: &[SubTableStats],
         alpha: f64,
         beta: f64,
         dir: Direction,
@@ -147,9 +151,9 @@ impl Decision {
 }
 
 /// The structural invariant of the policy: max subtable size ≤ 2 × min.
-pub fn size_ratio_invariant(tables: &[SubTable]) -> bool {
-    let min = tables.iter().map(|t| t.n_buckets()).min().unwrap_or(1);
-    let max = tables.iter().map(|t| t.n_buckets()).max().unwrap_or(1);
+pub fn size_ratio_invariant(tables: &[SubTableStats]) -> bool {
+    let min = tables.iter().map(|t| t.n_buckets).min().unwrap_or(1);
+    let max = tables.iter().map(|t| t.n_buckets).max().unwrap_or(1);
     max <= 2 * min
 }
 
@@ -158,20 +162,15 @@ mod tests {
     use super::*;
     use crate::config::BUCKET_SLOTS;
 
-    fn table(n_buckets: usize, filled: u64) -> SubTable {
-        let mut t = SubTable::new(n_buckets, gpu_sim::LayoutConfig::default());
-        let mut written = 0;
-        'outer: for b in 0..n_buckets {
-            for _ in 0..BUCKET_SLOTS {
-                if written == filled {
-                    break 'outer;
-                }
-                let s = t.find_empty(b).unwrap();
-                t.write_new(b, s, written as u32 + 1, 0);
-                written += 1;
-            }
+    fn table(n_buckets: usize, filled: u64) -> SubTableStats {
+        let capacity_slots = (n_buckets * BUCKET_SLOTS) as u64;
+        assert!(filled <= capacity_slots);
+        SubTableStats {
+            n_buckets,
+            occupied: filled,
+            capacity_slots,
+            fill: filled as f64 / capacity_slots as f64,
         }
-        t
     }
 
     #[test]

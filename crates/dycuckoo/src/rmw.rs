@@ -8,9 +8,15 @@
 //! the op stays deterministic, serializable into RON fuzz repros, and
 //! replayable by the differential oracle's `BTreeMap` reference model.
 //!
+//! The rules are generic over the table's value [`Word`], so the 32- and
+//! 64-bit tables share one algebra (the unsized tier's byte strings have
+//! their own `*_bytes` forms).
+//!
 //! `LastWrite` is the degenerate rule under which `upsert_with` is exactly
 //! the existing insert (`DupPolicy::Upsert`) — the plain insert path is the
 //! `LastWrite` instance of this pipeline and charges identically.
+
+use crate::subtable::Word;
 
 /// A deterministic merge rule applied when an upsert finds its key present.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -34,43 +40,22 @@ pub enum MergeRule {
 impl MergeRule {
     /// The value stored when the key is absent.
     #[inline]
-    pub fn initial(self, arg: u32) -> u32 {
+    pub fn initial<W: Word>(self, arg: W) -> W {
         match self {
             MergeRule::LastWrite | MergeRule::Add | MergeRule::Max | MergeRule::Min => arg,
-            MergeRule::Count => 1,
+            MergeRule::Count => W::ONE,
         }
     }
 
     /// The value stored when the key is present with value `old`.
     #[inline]
-    pub fn merge(self, old: u32, arg: u32) -> u32 {
+    pub fn merge<W: Word>(self, old: W, arg: W) -> W {
         match self {
             MergeRule::LastWrite => arg,
             MergeRule::Add => old.wrapping_add(arg),
             MergeRule::Max => old.max(arg),
             MergeRule::Min => old.min(arg),
-            MergeRule::Count => old.wrapping_add(1),
-        }
-    }
-
-    /// 64-bit analogue of [`MergeRule::initial`] for the wide tier.
-    #[inline]
-    pub fn initial_u64(self, arg: u64) -> u64 {
-        match self {
-            MergeRule::Count => 1,
-            _ => arg,
-        }
-    }
-
-    /// 64-bit analogue of [`MergeRule::merge`] for the wide tier.
-    #[inline]
-    pub fn merge_u64(self, old: u64, arg: u64) -> u64 {
-        match self {
-            MergeRule::LastWrite => arg,
-            MergeRule::Add => old.wrapping_add(arg),
-            MergeRule::Max => old.max(arg),
-            MergeRule::Min => old.min(arg),
-            MergeRule::Count => old.wrapping_add(1),
+            MergeRule::Count => old.wrapping_add(W::ONE),
         }
     }
 
@@ -153,7 +138,7 @@ impl MergeRule {
     /// Returns `None` when the pair cannot be folded into a single op of
     /// the same rule (never happens for the stock rules, but the batcher
     /// treats `None` as "keep both").
-    pub fn fold_args(self, first: u32, second: u32) -> Option<u32> {
+    pub fn fold_args<W: Word>(self, first: W, second: W) -> Option<W> {
         Some(match self {
             MergeRule::LastWrite => second,
             MergeRule::Add => first.wrapping_add(second),
@@ -169,7 +154,7 @@ impl MergeRule {
 
     /// Apply a whole pending chain of `(rule, arg)` upserts to an optional
     /// current value, in order. `None` means the key is absent.
-    pub fn apply_chain(chain: &[(MergeRule, u32)], mut cur: Option<u32>) -> Option<u32> {
+    pub fn apply_chain<W: Word>(chain: &[(MergeRule, W)], mut cur: Option<W>) -> Option<W> {
         for &(rule, arg) in chain {
             cur = Some(match cur {
                 None => rule.initial(arg),
@@ -208,20 +193,23 @@ mod tests {
 
     #[test]
     fn last_write_is_identity_insert() {
-        assert_eq!(MergeRule::LastWrite.initial(7), 7);
-        assert_eq!(MergeRule::LastWrite.merge(3, 7), 7);
+        assert_eq!(MergeRule::LastWrite.initial(7u32), 7);
+        assert_eq!(MergeRule::LastWrite.merge(3u32, 7), 7);
         assert!(!MergeRule::LastWrite.reads_old());
     }
 
     #[test]
     fn count_ignores_argument() {
-        assert_eq!(MergeRule::Count.initial(99), 1);
-        assert_eq!(MergeRule::Count.merge(4, 99), 5);
+        assert_eq!(MergeRule::Count.initial(99u32), 1);
+        assert_eq!(MergeRule::Count.merge(4u32, 99), 5);
+        assert_eq!(MergeRule::Count.initial(99u64), 1);
+        assert_eq!(MergeRule::Count.merge(u64::from(u32::MAX), 99), 1 << 32);
     }
 
     #[test]
     fn add_wraps() {
         assert_eq!(MergeRule::Add.merge(u32::MAX, 2), 1);
+        assert_eq!(MergeRule::Add.merge(u64::MAX, 2), 1);
     }
 
     #[test]
@@ -247,19 +235,19 @@ mod tests {
                 }
             }
         }
-        assert_eq!(MergeRule::Count.fold_args(1, 2), None);
+        assert_eq!(MergeRule::Count.fold_args(1u32, 2), None);
     }
 
     #[test]
     fn apply_chain_walks_absent_then_present() {
         let chain = [
-            (MergeRule::Count, 0),
+            (MergeRule::Count, 0u32),
             (MergeRule::Count, 0),
             (MergeRule::Add, 10),
         ];
         assert_eq!(MergeRule::apply_chain(&chain, None), Some(12));
         assert_eq!(MergeRule::apply_chain(&chain, Some(100)), Some(112));
-        assert_eq!(MergeRule::apply_chain(&[], Some(5)), Some(5));
-        assert_eq!(MergeRule::apply_chain(&[], None), None);
+        assert_eq!(MergeRule::apply_chain(&[], Some(5u32)), Some(5));
+        assert_eq!(MergeRule::apply_chain::<u32>(&[], None), None);
     }
 }

@@ -18,13 +18,13 @@
 
 use gpu_sim::RoundCtx;
 
-use crate::subtable::EMPTY_KEY;
+use crate::subtable::Word;
 
 /// A small side buffer for keys whose eviction chains hit the limit.
 #[derive(Debug, Clone)]
-pub struct Stash {
-    keys: Vec<u32>,
-    vals: Vec<u32>,
+pub struct Stash<K, V> {
+    keys: Vec<K>,
+    vals: Vec<V>,
     live: usize,
     /// Keys scanned per coalesced line — comes from the table's
     /// [`gpu_sim::LayoutConfig`], so stash probes are costed under the same
@@ -32,14 +32,14 @@ pub struct Stash {
     keys_per_line: usize,
 }
 
-impl Stash {
+impl<K: Word, V: Word> Stash<K, V> {
     /// Create a stash with room for `capacity` KV pairs, probed
     /// `keys_per_line` keys per read transaction.
     pub fn new(capacity: usize, keys_per_line: usize) -> Self {
         debug_assert!(keys_per_line > 0);
         Self {
-            keys: vec![EMPTY_KEY; capacity],
-            vals: vec![0; capacity],
+            keys: vec![K::EMPTY; capacity],
+            vals: vec![V::EMPTY; capacity],
             live: 0,
             keys_per_line,
         }
@@ -75,8 +75,8 @@ impl Stash {
     }
 
     /// Try to stash a KV pair. Returns `false` when full.
-    pub fn push(&mut self, key: u32, val: u32, ctx: &mut RoundCtx) -> bool {
-        debug_assert_ne!(key, EMPTY_KEY);
+    pub fn push(&mut self, key: K, val: V, ctx: &mut RoundCtx) -> bool {
+        debug_assert_ne!(key, K::EMPTY);
         self.charge_probe(ctx);
         // Update in place if present.
         if let Some(i) = self.keys.iter().position(|&k| k == key) {
@@ -84,7 +84,7 @@ impl Stash {
             ctx.write_line();
             return true;
         }
-        match self.keys.iter().position(|&k| k == EMPTY_KEY) {
+        match self.keys.iter().position(|&k| k == K::EMPTY) {
             Some(i) => {
                 self.keys[i] = key;
                 self.vals[i] = val;
@@ -97,7 +97,7 @@ impl Stash {
     }
 
     /// Look a key up in the stash.
-    pub fn find(&self, key: u32, ctx: &mut RoundCtx) -> Option<u32> {
+    pub fn find(&self, key: K, ctx: &mut RoundCtx) -> Option<V> {
         if self.is_empty() {
             return None;
         }
@@ -109,14 +109,14 @@ impl Stash {
     }
 
     /// Erase a key from the stash; returns whether it was present.
-    pub fn erase(&mut self, key: u32, ctx: &mut RoundCtx) -> bool {
+    pub fn erase(&mut self, key: K, ctx: &mut RoundCtx) -> bool {
         if self.is_empty() {
             return false;
         }
         self.charge_probe(ctx);
         match self.keys.iter().position(|&k| k == key) {
             Some(i) => {
-                self.keys[i] = EMPTY_KEY;
+                self.keys[i] = K::EMPTY;
                 self.live -= 1;
                 ctx.write_line();
                 true
@@ -126,7 +126,7 @@ impl Stash {
     }
 
     /// Update the value of a stashed key; returns whether it was present.
-    pub fn update(&mut self, key: u32, val: u32, ctx: &mut RoundCtx) -> bool {
+    pub fn update(&mut self, key: K, val: V, ctx: &mut RoundCtx) -> bool {
         if self.is_empty() {
             return false;
         }
@@ -144,12 +144,7 @@ impl Stash {
     /// Read-modify-write a stashed key's value; returns whether it was
     /// present. Costs one probe, one value-read line and one write — the
     /// stash analogue of the insert kernel's duplicate-merge path.
-    pub fn update_with(
-        &mut self,
-        key: u32,
-        f: impl FnOnce(u32) -> u32,
-        ctx: &mut RoundCtx,
-    ) -> bool {
+    pub fn update_with(&mut self, key: K, f: impl FnOnce(V) -> V, ctx: &mut RoundCtx) -> bool {
         if self.is_empty() {
             return false;
         }
@@ -167,16 +162,16 @@ impl Stash {
 
     /// Drain every stashed pair (after a resize has made room in the
     /// subtables proper).
-    pub fn drain(&mut self, ctx: &mut RoundCtx) -> Vec<(u32, u32)> {
+    pub fn drain(&mut self, ctx: &mut RoundCtx) -> Vec<(K, V)> {
         if self.is_empty() {
             return Vec::new();
         }
         self.charge_probe(ctx);
         let mut out = Vec::with_capacity(self.live);
         for i in 0..self.keys.len() {
-            if self.keys[i] != EMPTY_KEY {
+            if self.keys[i] != K::EMPTY {
                 out.push((self.keys[i], self.vals[i]));
-                self.keys[i] = EMPTY_KEY;
+                self.keys[i] = K::EMPTY;
             }
         }
         ctx.write_line();
@@ -186,7 +181,7 @@ impl Stash {
 
     /// Device bytes occupied (keys + values).
     pub fn device_bytes(&self) -> u64 {
-        (self.keys.len() * 8) as u64
+        self.keys.len() as u64 * (K::BYTES + V::BYTES)
     }
 }
 
@@ -194,6 +189,8 @@ impl Stash {
 mod tests {
     use super::*;
     use gpu_sim::Metrics;
+
+    type Stash32 = Stash<u32, u32>;
 
     fn with_ctx<R>(f: impl FnOnce(&mut RoundCtx) -> R) -> (R, Metrics) {
         let mut m = Metrics::default();
@@ -204,7 +201,7 @@ mod tests {
 
     #[test]
     fn push_find_erase_roundtrip() {
-        let mut s = Stash::new(8, 32);
+        let mut s = Stash32::new(8, 32);
         let ((), _) = with_ctx(|ctx| {
             assert!(s.push(5, 50, ctx));
             assert_eq!(s.find(5, ctx), Some(50));
@@ -217,7 +214,7 @@ mod tests {
 
     #[test]
     fn push_updates_in_place() {
-        let mut s = Stash::new(4, 32);
+        let mut s = Stash32::new(4, 32);
         with_ctx(|ctx| {
             assert!(s.push(9, 1, ctx));
             assert!(s.push(9, 2, ctx));
@@ -228,7 +225,7 @@ mod tests {
 
     #[test]
     fn full_stash_rejects() {
-        let mut s = Stash::new(2, 32);
+        let mut s = Stash32::new(2, 32);
         with_ctx(|ctx| {
             assert!(s.push(1, 1, ctx));
             assert!(s.push(2, 2, ctx));
@@ -239,7 +236,7 @@ mod tests {
 
     #[test]
     fn drain_empties_and_returns_all() {
-        let mut s = Stash::new(8, 32);
+        let mut s = Stash32::new(8, 32);
         with_ctx(|ctx| {
             for k in 1..=5u32 {
                 s.push(k, k * 10, ctx);
@@ -254,14 +251,14 @@ mod tests {
 
     #[test]
     fn empty_stash_probes_are_free() {
-        let s = Stash::new(64, 32);
+        let s = Stash32::new(64, 32);
         let (_, m) = with_ctx(|ctx| s.find(1, ctx));
         assert_eq!(m.read_transactions, 0, "empty stash must cost nothing");
     }
 
     #[test]
     fn probe_cost_scales_with_capacity() {
-        let mut s = Stash::new(64, 32); // 2 lines
+        let mut s = Stash32::new(64, 32); // 2 lines
         let (_, m) = with_ctx(|ctx| {
             s.push(1, 1, ctx);
             s.find(1, ctx)

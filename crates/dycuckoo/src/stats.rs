@@ -1,5 +1,9 @@
 //! Snapshot statistics of a table, used by the experiment harness to track
-//! filled factors and memory footprints over dynamic workloads.
+//! filled factors and memory footprints over dynamic workloads, and the
+//! per-subtable numbers the resize policy ([`crate::resize`]) reads.
+
+use gpu_sim::engine::SlotWord;
+use gpu_sim::BucketStore;
 
 /// Statistics of one subtable.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,6 +16,18 @@ pub struct SubTableStats {
     pub capacity_slots: u64,
     /// Filled factor `θ_i`.
     pub fill: f64,
+}
+
+impl SubTableStats {
+    /// The statistics of one subtable store.
+    pub fn of<K: SlotWord, V: SlotWord>(t: &BucketStore<K, V>) -> Self {
+        Self {
+            n_buckets: t.n_buckets(),
+            occupied: t.occupied(),
+            capacity_slots: t.capacity_slots(),
+            fill: t.fill_factor(),
+        }
+    }
 }
 
 /// Statistics of the whole table.

@@ -1,14 +1,14 @@
 //! One cuckoo subtable `h^i`: bucketed key and value arrays plus per-bucket
-//! locks.
+//! locks, and the [`Word`] trait the table is generic over.
 //!
 //! Storage and transaction accounting live in the shared probe/storage
 //! engine ([`gpu_sim::engine`]); a subtable is the engine's
-//! [`BucketStore`] instantiated for this crate's 4-byte keys and values.
+//! [`BucketStore`] instantiated for the table's key and value words.
 //! Under the default layout (the paper's Figure "hash table structure"):
 //!
 //! * keys of one bucket are stored consecutively — 32 four-byte keys fill
 //!   exactly one 128-byte line, so one warp probes a bucket with a single
-//!   coalesced transaction;
+//!   coalesced transaction (16 eight-byte keys under the wide layout);
 //! * values live in a **separate** array so operations that do not need
 //!   them (missed finds, deletes) touch no value lines;
 //! * each bucket has a lock flag driven by `atomicCAS`/`atomicExch`.
@@ -17,13 +17,59 @@
 //! 8/16-slot buckets) change the geometry and the per-operation line
 //! counts, not the placement logic.
 
+use gpu_sim::engine::SlotWord;
 use gpu_sim::BucketStore;
 
-/// The reserved key marking an empty slot.
-pub const EMPTY_KEY: u32 = 0;
+use crate::hashfn::splitmix64;
 
-/// A single subtable: the engine's bucket store over 4-byte words.
-pub type SubTable = BucketStore<u32, u32>;
+/// A key or value word of a [`crate::CuckooTable`]. The engine's
+/// [`SlotWord`] supplies the empty sentinel and the byte width; this trait
+/// adds only what the 32- and 64-bit instantiations differ in.
+pub trait Word: SlotWord + Default + Ord + std::hash::Hash + Into<u64> {
+    /// The unit the `Count` merge rule adds.
+    const ONE: Self;
+
+    /// The 32-bit route value every hash function, the first-layer pair
+    /// hash, the migration view and the Theorem-1 coin flips consume.
+    fn route(self) -> u32;
+
+    /// Wrapping addition (the `Add` and `Count` merge rules).
+    fn wrapping_add(self, other: Self) -> Self;
+}
+
+impl Word for u32 {
+    const ONE: Self = 1;
+
+    /// The paper's keys are their own route value.
+    #[inline]
+    fn route(self) -> u32 {
+        self
+    }
+
+    #[inline]
+    fn wrapping_add(self, other: Self) -> Self {
+        u32::wrapping_add(self, other)
+    }
+}
+
+impl Word for u64 {
+    const ONE: Self = 1;
+
+    /// A full-avalanche fold, so both halves of the key contribute.
+    #[inline]
+    fn route(self) -> u32 {
+        (splitmix64(self) >> 16) as u32
+    }
+
+    #[inline]
+    fn wrapping_add(self, other: Self) -> Self {
+        u64::wrapping_add(self, other)
+    }
+}
+
+/// A single subtable: the engine's bucket store over the table's words
+/// (4-byte keys and values unless stated otherwise).
+pub type SubTable<K = u32, V = u32> = BucketStore<K, V>;
 
 #[cfg(test)]
 mod tests {
@@ -123,7 +169,7 @@ mod tests {
 
     #[test]
     fn narrow_layouts_shrink_the_footprint() {
-        let aos16 = SubTable::new(8, LayoutConfig::aos(16, 4, 4));
+        let aos16: SubTable = SubTable::new(8, LayoutConfig::aos(16, 4, 4));
         let soa32 = sub(8);
         assert_eq!(aos16.capacity_slots(), 8 * 16);
         assert!(aos16.device_bytes() < soa32.device_bytes());

@@ -11,7 +11,7 @@
 //!   pre-machine behaviour.
 //! * finite — **incremental**: the resize becomes a
 //!   [`super::migration::MigrationMachine`] pass; each batch (or explicit
-//!   [`DyCuckoo::migrate_quantum`] call) drains at most one quantum of
+//!   [`CuckooTable::migrate_quantum`] call) drains at most one quantum of
 //!   source buckets, so no single batch pays for a whole-subtable rehash.
 
 use gpu_sim::ChargeKind;
@@ -22,18 +22,20 @@ use crate::error::{Error, Result};
 use crate::ops::insert::{insert_batch as run_insert, InsertOp, InsertOutcome};
 use crate::rehash;
 use crate::resize::{self, ResizeOp};
-use crate::subtable::SubTable;
+use crate::subtable::{SubTable, Word};
 
 use super::migration::{drain_chunk, DrainState, MigrationMachine};
-use super::{BatchReport, DyCuckoo, ResizeEvent, TableShape, MAX_INSERT_RETRIES, MAX_RESIZE_ITERS};
+use super::{
+    BatchReport, CuckooTable, ResizeEvent, TableShape, MAX_INSERT_RETRIES, MAX_RESIZE_ITERS,
+};
 
-impl DyCuckoo {
+impl<K: Word, V: Word> CuckooTable<K, V> {
     /// Upsize-and-retry loop for operations that exceeded the eviction
     /// limit — the paper's "insertion failure triggers resizing".
     pub(super) fn retry_failed(
         &mut self,
         sim: &mut SimContext,
-        mut out: InsertOutcome,
+        mut out: InsertOutcome<K, V>,
         report: &mut BatchReport,
     ) -> Result<()> {
         while !out.failed.is_empty() {
@@ -66,7 +68,7 @@ impl DyCuckoo {
                     });
                 }
                 let event = self.apply_resize(
-                    ResizeOp::Upsize(resize::upsize_candidate(&self.tables)),
+                    ResizeOp::Upsize(resize::upsize_candidate(&self.subtable_stats())),
                     sim,
                 )?;
                 report.resizes.push(event);
@@ -74,7 +76,7 @@ impl DyCuckoo {
             // Restart each failed op fresh: it carries whatever KV its
             // eviction chain held, which re-routes through the two-layer
             // pair of that key.
-            let retry_ops: Vec<InsertOp> = out
+            let retry_ops: Vec<InsertOp<K, V>> = out
                 .failed
                 .iter()
                 .map(|op| {
@@ -116,7 +118,10 @@ impl DyCuckoo {
             }
         }
         for _ in 0..MAX_RESIZE_ITERS {
-            match self.decision.decide(&self.tables, alpha, beta, dir) {
+            match self
+                .decision
+                .decide(&self.subtable_stats(), alpha, beta, dir)
+            {
                 None => return Ok(()),
                 Some(op) if self.shape.cfg.migration_quantum == usize::MAX => {
                     report.resizes.push(self.apply_resize(op, sim)?)
@@ -193,7 +198,7 @@ impl DyCuckoo {
             let mut ctx = gpu_sim::RoundCtx::new(&mut sim.metrics);
             let drained = stash.drain(&mut ctx);
             ctx.finish();
-            let ops: Vec<InsertOp> = drained
+            let ops: Vec<InsertOp<K, V>> = drained
                 .into_iter()
                 .map(|(k, v)| {
                     self.op_counter += 1;
@@ -269,7 +274,7 @@ impl DyCuckoo {
                                 failed_ops: leftovers.len(),
                             });
                         }
-                        let target = resize::upsize_candidate(&self.tables);
+                        let target = resize::upsize_candidate(&self.subtable_stats());
                         rehash::upsize(
                             &mut self.tables,
                             target,
@@ -277,7 +282,7 @@ impl DyCuckoo {
                             sim,
                             &mut self.ledger_bytes,
                         )?;
-                        let retry: Vec<InsertOp> = leftovers
+                        let retry: Vec<InsertOp<K, V>> = leftovers
                             .iter()
                             .map(|f| {
                                 self.op_counter += 1;
@@ -345,7 +350,7 @@ impl DyCuckoo {
             ChargeKind::ReadTx,
             layout.drain_lines() * old_buckets as u64,
         );
-        let drained: Vec<(u32, u32)> = old.iter_live().collect();
+        let drained: Vec<(K, V)> = old.iter_live().collect();
         let old_bytes = old.device_bytes();
         let new_bytes = layout.device_bytes_for(new_buckets);
         sim.device.alloc(new_bytes)?;
@@ -369,7 +374,7 @@ impl DyCuckoo {
             hashes: self.shape.hashes.clone(),
         };
         let moved = drained.len() as u64;
-        let ops: Vec<InsertOp> = drained
+        let ops: Vec<InsertOp<K, V>> = drained
             .into_iter()
             .map(|(k, v)| {
                 self.op_counter += 1;
@@ -391,7 +396,7 @@ impl DyCuckoo {
 
     /// The policy invariant: no subtable more than twice any other.
     pub fn size_ratio_ok(&self) -> bool {
-        resize::size_ratio_invariant(&self.tables)
+        resize::size_ratio_invariant(&self.subtable_stats())
     }
 
     // ------------------------------------------------------------------
@@ -519,7 +524,7 @@ impl DyCuckoo {
         sim: &mut SimContext,
         budget: usize,
         report: &mut BatchReport,
-    ) -> Result<Vec<InsertOp>> {
+    ) -> Result<Vec<InsertOp<K, V>>> {
         let MigrationMachine::Draining(state) = &mut self.migration else {
             return Ok(Vec::new());
         };
@@ -554,7 +559,7 @@ impl DyCuckoo {
         // downsize — while probing coherently through the migration view.
         let mut leftovers = Vec::new();
         if !outcome.residuals.is_empty() {
-            let ops: Vec<InsertOp> = outcome
+            let ops: Vec<InsertOp<K, V>> = outcome
                 .residuals
                 .iter()
                 .map(|&(k, v)| {
@@ -632,7 +637,7 @@ impl DyCuckoo {
     fn park_or_escalate(
         &mut self,
         sim: &mut SimContext,
-        mut leftovers: Vec<InsertOp>,
+        mut leftovers: Vec<InsertOp<K, V>>,
         report: &mut BatchReport,
     ) -> Result<()> {
         if leftovers.is_empty() {
@@ -655,7 +660,7 @@ impl DyCuckoo {
                     failed_ops: leftovers.len(),
                 });
             }
-            let target = resize::upsize_candidate(&self.tables);
+            let target = resize::upsize_candidate(&self.subtable_stats());
             rehash::upsize(
                 &mut self.tables,
                 target,
@@ -663,7 +668,7 @@ impl DyCuckoo {
                 sim,
                 &mut self.ledger_bytes,
             )?;
-            let retry: Vec<InsertOp> = leftovers
+            let retry: Vec<InsertOp<K, V>> = leftovers
                 .iter()
                 .map(|f| {
                     self.op_counter += 1;

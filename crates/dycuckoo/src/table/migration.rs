@@ -37,7 +37,7 @@
 use gpu_sim::{run_rounds_quantum, RoundCtx, RoundKernel, StepOutcome};
 
 use crate::hashfn::UniversalHash;
-use crate::subtable::{SubTable, EMPTY_KEY};
+use crate::subtable::{SubTable, Word};
 
 use super::MAX_TABLES;
 
@@ -68,8 +68,9 @@ pub(crate) struct MigrationView {
 }
 
 impl MigrationView {
-    /// The single bucket (old or fresh) where `key` may reside in the
-    /// draining subtable. Exactly one probe — the two-lookup bound holds.
+    /// The single bucket (old or fresh) where a key with route value
+    /// `key` ([`Word::route`]) may reside in the draining subtable. Exactly
+    /// one probe — the two-lookup bound holds.
     pub fn route(&self, hash: &UniversalHash, key: u32) -> Route {
         if self.grow {
             let b_old = hash.bucket(key, self.old_n);
@@ -98,13 +99,13 @@ impl MigrationView {
 
 /// In-flight migration bookkeeping (the Draining/Finalizing payload).
 #[derive(Debug)]
-pub(crate) struct DrainState {
+pub(crate) struct DrainState<K: Word, V: Word> {
     /// Index of the subtable being migrated.
     pub table: usize,
     /// Growing or shrinking.
     pub grow: bool,
     /// The replacement subtable being filled.
-    pub fresh: SubTable,
+    pub fresh: SubTable<K, V>,
     /// Source buckets drained so far.
     pub cursor: usize,
     /// Total source buckets to drain (old count when growing, new count
@@ -118,7 +119,7 @@ pub(crate) struct DrainState {
     pub residuals: u64,
 }
 
-impl DrainState {
+impl<K: Word, V: Word> DrainState<K, V> {
     /// The foreground routing view of this state.
     pub fn view(&self) -> MigrationView {
         MigrationView {
@@ -134,18 +135,18 @@ impl DrainState {
 /// The migration state machine. Owned by [`super::DyCuckoo`]; transitions
 /// are driven by the maintenance path (`table/maintenance.rs`).
 #[derive(Debug, Default)]
-pub(crate) enum MigrationMachine {
+pub(crate) enum MigrationMachine<K: Word, V: Word> {
     /// No structural work in flight.
     #[default]
     Idle,
     /// A bounded chunk of source buckets is rehashed per pump.
-    Draining(DrainState),
+    Draining(DrainState<K, V>),
     /// All source buckets drained; the next pump swaps the fresh subtable
     /// in and retires the migration.
-    Finalizing(DrainState),
+    Finalizing(DrainState<K, V>),
 }
 
-impl MigrationMachine {
+impl<K: Word, V: Word> MigrationMachine<K, V> {
     /// Whether a migration is in flight (draining or awaiting finalize).
     pub fn in_flight(&self) -> bool {
         !matches!(self, MigrationMachine::Idle)
@@ -162,15 +163,7 @@ impl MigrationMachine {
     }
 
     /// The in-flight drain state, if any.
-    pub fn state(&self) -> Option<&DrainState> {
-        match self {
-            MigrationMachine::Idle => None,
-            MigrationMachine::Draining(d) | MigrationMachine::Finalizing(d) => Some(d),
-        }
-    }
-
-    /// Mutable in-flight drain state, if any.
-    pub fn state_mut(&mut self) -> Option<&mut DrainState> {
+    pub fn state(&self) -> Option<&DrainState<K, V>> {
         match self {
             MigrationMachine::Idle => None,
             MigrationMachine::Draining(d) | MigrationMachine::Finalizing(d) => Some(d),
@@ -179,15 +172,17 @@ impl MigrationMachine {
 
     /// Kernel-facing context for mutating ops: the routing view plus the
     /// fresh store it routes into.
-    pub fn kernel_ctx(&mut self) -> Option<(MigrationView, &mut SubTable)> {
-        self.state_mut().map(|d| {
-            let view = d.view();
-            (view, &mut d.fresh)
-        })
+    pub fn kernel_ctx(&mut self) -> Option<(MigrationView, &mut SubTable<K, V>)> {
+        match self {
+            MigrationMachine::Idle => None,
+            MigrationMachine::Draining(d) | MigrationMachine::Finalizing(d) => {
+                Some((d.view(), &mut d.fresh))
+            }
+        }
     }
 
     /// Kernel-facing context for read-only ops (find).
-    pub fn kernel_ctx_ro(&self) -> Option<(MigrationView, &SubTable)> {
+    pub fn kernel_ctx_ro(&self) -> Option<(MigrationView, &SubTable<K, V>)> {
         self.state().map(|d| (d.view(), &d.fresh))
     }
 }
@@ -201,18 +196,18 @@ struct MigrateWarp {
 /// per-bucket locks foreground kernels use (old side in the subtable's own
 /// lock space, fresh side in [`MigrationView::fresh_space`]), so migration
 /// launches are charged for their atomics like any other kernel.
-struct MigrateKernel<'a> {
-    old: &'a mut SubTable,
-    fresh: &'a mut SubTable,
+struct MigrateKernel<'a, K: Word, V: Word> {
+    old: &'a mut SubTable<K, V>,
+    fresh: &'a mut SubTable<K, V>,
     hash: &'a UniversalHash,
     grow: bool,
     old_space: u32,
     fresh_space: u32,
     moved: u64,
-    residuals: Vec<(u32, u32)>,
+    residuals: Vec<(K, V)>,
 }
 
-impl MigrateKernel<'_> {
+impl<K: Word, V: Word> MigrateKernel<'_, K, V> {
     /// Drain old bucket `b` into fresh buckets `b` / `b + old_n` (upsize
     /// geometry: conflict-free, both destinations belong to this warp).
     fn drain_grow(&mut self, b: usize, ctx: &mut RoundCtx) {
@@ -228,10 +223,10 @@ impl MigrateKernel<'_> {
         let mut cleared = false;
         for s in 0..self.old.slots_per_bucket() {
             let (k, v) = self.old.slot(b, s);
-            if k == EMPTY_KEY {
+            if k == K::EMPTY {
                 continue;
             }
-            let nb = self.hash.bucket(k, new_n);
+            let nb = self.hash.bucket(k.route(), new_n);
             debug_assert!(
                 nb == b || nb == b + old_n,
                 "upsize moved key across buckets"
@@ -275,7 +270,7 @@ impl MigrateKernel<'_> {
             let mut cleared = false;
             for s in 0..self.old.slots_per_bucket() {
                 let (k, v) = self.old.slot(ob, s);
-                if k == EMPTY_KEY {
+                if k == K::EMPTY {
                     continue;
                 }
                 if let Some(slot) = self.fresh.find_empty(nb) {
@@ -300,7 +295,7 @@ impl MigrateKernel<'_> {
     }
 }
 
-impl RoundKernel<MigrateWarp> for MigrateKernel<'_> {
+impl<K: Word, V: Word> RoundKernel<MigrateWarp> for MigrateKernel<'_, K, V> {
     fn step(&mut self, w: &mut MigrateWarp, ctx: &mut RoundCtx) -> StepOutcome {
         if self.grow {
             let b = w.src;
@@ -351,25 +346,25 @@ impl RoundKernel<MigrateWarp> for MigrateKernel<'_> {
 }
 
 /// Outcome of one drained chunk.
-pub(crate) struct ChunkOutcome {
+pub(crate) struct ChunkOutcome<K, V> {
     /// KVs rehashed into the fresh subtable by this chunk.
     pub moved: u64,
     /// Overflow KVs (shrinking only) the caller must re-insert into
     /// partner subtables with the draining table excluded.
-    pub residuals: Vec<(u32, u32)>,
+    pub residuals: Vec<(K, V)>,
 }
 
 /// Drain the next `chunk` source buckets of `state` as one scheduled
 /// launch. Advances `state.cursor` / `state.moved` but does **not** count
 /// `state.residuals` — the caller does after placing them.
-pub(crate) fn drain_chunk(
-    state: &mut DrainState,
-    old: &mut SubTable,
+pub(crate) fn drain_chunk<K: Word, V: Word>(
+    state: &mut DrainState<K, V>,
+    old: &mut SubTable<K, V>,
     hash: &UniversalHash,
     chunk: usize,
     schedule: gpu_sim::SchedulePolicy,
     metrics: &mut gpu_sim::Metrics,
-) -> ChunkOutcome {
+) -> ChunkOutcome<K, V> {
     let end = (state.cursor + chunk).min(state.span);
     let mut warps: Vec<MigrateWarp> = (state.cursor..end).map(|src| MigrateWarp { src }).collect();
     let mut kernel = MigrateKernel {
@@ -502,12 +497,12 @@ mod tests {
         // Drained source buckets are empty; every moved key is at its
         // routed fresh bucket.
         for b in 0..2 {
-            assert!(old.bucket_keys(b).iter().all(|&k| k == EMPTY_KEY));
+            assert!(old.bucket_keys(b).iter().all(|&k| k == 0));
         }
         let view = state.view();
         for nb in 0..8 {
             for &k in state.fresh.bucket_keys(nb) {
-                if k == EMPTY_KEY {
+                if k == 0 {
                     continue;
                 }
                 assert_eq!(view.route(&h, k), Route::Fresh(nb));
@@ -571,7 +566,7 @@ mod tests {
 
     #[test]
     fn machine_backlog_counts_down_to_idle() {
-        let mut machine = MigrationMachine::Idle;
+        let mut machine: MigrationMachine<u32, u32> = MigrationMachine::Idle;
         assert!(!machine.in_flight());
         assert_eq!(machine.backlog(), 0);
         machine = MigrationMachine::Draining(DrainState {

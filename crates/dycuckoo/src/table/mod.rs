@@ -11,21 +11,20 @@
 //!   structural rehash paths.
 //!
 //! This file holds what all three share: the immutable [`TableShape`], the
-//! candidate-set machinery, batch reports and the [`DyCuckoo`] struct
-//! itself.
+//! candidate-set machinery, batch reports and the [`CuckooTable`] struct
+//! itself, with its two instantiations: [`DyCuckoo`] over 4-byte words
+//! and [`WideDyCuckoo`] over 8-byte words.
 
 mod maintenance;
 pub(crate) mod migration;
 mod probe;
 mod storage;
 
-use gpu_sim::{Metrics, SimContext};
-
 use crate::config::{Config, BUCKET_SLOTS};
 use crate::hashfn::UniversalHash;
 use crate::resize::ResizeOp;
 use crate::stash::Stash;
-use crate::subtable::SubTable;
+use crate::subtable::{SubTable, Word};
 use crate::two_layer::PairHash;
 
 /// Operations processed between filled-factor checks within one batch.
@@ -133,7 +132,8 @@ impl TableShape {
         Self { cfg, pair, hashes }
     }
 
-    /// The subtables that may hold `key`, per the configured layering.
+    /// The subtables that may hold a key with route value `key`
+    /// ([`Word::route`]), per the configured layering.
     pub fn candidates(&self, key: u32) -> Candidates {
         match self.cfg.layering {
             crate::config::Layering::TwoLayer => {
@@ -154,9 +154,9 @@ impl TableShape {
     /// is a steered choice among the other subtables. `excluded` (a
     /// subtable mid-downsize) is avoided where legal; `None` means the key
     /// has no admissible destination.
-    pub fn evict_destination(
+    pub fn evict_destination<K: Word, V: Word>(
         &self,
-        tables: &[SubTable],
+        tables: &[SubTable<K, V>],
         key: u32,
         t: usize,
         excluded: Option<usize>,
@@ -242,7 +242,7 @@ impl BatchReport {
     }
 }
 
-/// Outcome of a batched read-modify-write ([`DyCuckoo::upsert_batch`]).
+/// Outcome of a batched read-modify-write ([`CuckooTable::upsert_batch`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UpsertReport {
     /// The underlying batch outcome (insert/update/resize accounting).
@@ -261,11 +261,39 @@ impl UpsertReport {
     }
 }
 
-/// The dynamic two-layer cuckoo hash table of the paper.
+/// The dynamic two-layer cuckoo hash table of the paper, generic over its
+/// key and value [`Word`]s.
 ///
-/// All operations are batched and charged to a [`SimContext`], whose metrics
-/// and cost model yield the simulated throughput. Keys and values are `u32`;
-/// key `0` is reserved as the empty sentinel.
+/// All operations are batched and charged to a [`gpu_sim::SimContext`],
+/// whose metrics and cost model yield the simulated throughput. Key `0` is
+/// reserved as the empty sentinel. Every hash, pair choice and steering coin reads the
+/// key's 32-bit route value ([`Word::route`]); slots store and compare the
+/// full key word. Use the [`DyCuckoo`] (4-byte) or [`WideDyCuckoo`]
+/// (8-byte) instantiation; the table's [`Config::layout`] must declare the
+/// matching word widths.
+pub struct CuckooTable<K: Word, V: Word> {
+    shape: TableShape,
+    tables: Vec<SubTable<K, V>>,
+    /// Optional overflow stash (the paper's future-work mitigation for
+    /// upsize cascades); `None` when `stash_capacity == 0`.
+    stash: Option<Stash<K, V>>,
+    /// The incremental-migration state machine (always `Idle` under the
+    /// default stop-the-world `migration_quantum = usize::MAX`).
+    migration: migration::MigrationMachine<K, V>,
+    /// Resize hysteresis ([`crate::resize::Decision`]): suppresses
+    /// direction flips within `Config::resize_cooldown` batches.
+    decision: crate::resize::Decision,
+    op_counter: u64,
+    /// Mirror of every device byte this table has allocated minus freed on
+    /// the gpu-sim ledger, updated at each alloc/free site. Layout-derived
+    /// [`CuckooTable::device_bytes`] must agree with it at every batch
+    /// boundary — [`CuckooTable::verify_integrity`] asserts the two stay in
+    /// lock step, so a resize path that forgets either side is caught.
+    ledger_bytes: u64,
+}
+
+/// The paper's table: 4-byte keys and values, 32 slots per 128-byte
+/// bucket line under the default layout.
 ///
 /// ```
 /// use gpu_sim::SimContext;
@@ -277,31 +305,34 @@ impl UpsertReport {
 /// let found = table.find_batch(&mut sim, &[1, 2, 3]);
 /// assert_eq!(found, vec![Some(10), Some(20), None]);
 /// ```
-pub struct DyCuckoo {
-    shape: TableShape,
-    tables: Vec<SubTable>,
-    /// Optional overflow stash (the paper's future-work mitigation for
-    /// upsize cascades); `None` when `stash_capacity == 0`.
-    stash: Option<Stash>,
-    /// The incremental-migration state machine (always `Idle` under the
-    /// default stop-the-world `migration_quantum = usize::MAX`).
-    migration: migration::MigrationMachine,
-    /// Resize hysteresis ([`crate::resize::Decision`]): suppresses
-    /// direction flips within `Config::resize_cooldown` batches.
-    decision: crate::resize::Decision,
-    op_counter: u64,
-    /// Mirror of every device byte this table has allocated minus freed on
-    /// the gpu-sim ledger, updated at each alloc/free site. Layout-derived
-    /// [`DyCuckoo::device_bytes`] must agree with it at every batch
-    /// boundary — [`DyCuckoo::verify_integrity`] asserts the two stay in
-    /// lock step, so a resize path that forgets either side is caught.
-    ledger_bytes: u64,
-}
+pub type DyCuckoo = CuckooTable<u32, u32>;
+
+/// The paper's "KV sizes beyond 64 bits" design point: 8-byte keys and
+/// values. Prior GPU cuckoo tables move a KV pair with one 64-bit
+/// `atomicExch`, capping key plus value at 8 bytes; DyCuckoo locks the
+/// whole bucket instead, so "suppose the keys are 8 bytes, a bucket can
+/// then accommodate 16 KV pairs". The same kernels, resizing and
+/// integrity check as [`DyCuckoo`]; only the words and the layout differ.
+///
+/// ```
+/// use gpu_sim::{LayoutConfig, SimContext};
+/// use dycuckoo::{Config, WideDyCuckoo, WIDE_BUCKET_SLOTS};
+///
+/// let mut sim = SimContext::new();
+/// let cfg = Config {
+///     layout: LayoutConfig::soa(WIDE_BUCKET_SLOTS, 8, 8),
+///     ..Config::default()
+/// };
+/// let mut table = WideDyCuckoo::new(cfg, &mut sim).unwrap();
+/// table.insert_batch(&mut sim, &[(1 << 40, 1 << 33)]).unwrap();
+/// assert_eq!(table.get(&mut sim, 1 << 40), Some(1 << 33));
+/// ```
+pub type WideDyCuckoo = CuckooTable<u64, u64>;
 
 /// Smallest power-of-two bucket count per subtable such that `items` keys
 /// fill `d` such subtables to at most `target_fill` (uniform sizing; see
 /// [`mixed_bucket_sizes`] for the finer-grained allocation
-/// [`DyCuckoo::with_capacity`] uses). Delegates to the engine's shared
+/// [`CuckooTable::with_capacity`] uses). Delegates to the engine's shared
 /// sizing with this crate's default bucket width.
 pub fn buckets_for_load(items: usize, d: usize, target_fill: f64) -> usize {
     gpu_sim::engine::buckets_for_load(items, d, target_fill, BUCKET_SLOTS)
@@ -314,16 +345,11 @@ pub fn mixed_bucket_sizes(items: usize, d: usize, target_fill: f64) -> Vec<usize
     gpu_sim::engine::mixed_bucket_sizes(items, d, target_fill, BUCKET_SLOTS)
 }
 
-/// Simulated elapsed time and throughput of a window of metrics — a small
-/// convenience the harness uses around batched calls.
-pub fn window_mops(sim: &SimContext, window: &Metrics, ops: u64) -> f64 {
-    gpu_sim::CostModel::new(sim.device.config()).mops(ops, window)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::Error;
+    use gpu_sim::SimContext;
 
     fn small_cfg() -> Config {
         Config {

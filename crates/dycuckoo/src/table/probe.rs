@@ -13,18 +13,15 @@ use crate::ops::insert::{insert_batch as run_insert, InsertOp};
 use crate::ops::{delete::delete_batch as run_delete, find::find_batch as run_find};
 use crate::resize;
 use crate::rmw::MergeRule;
+use crate::subtable::Word;
 
-use super::{BatchReport, DyCuckoo, UpsertReport, RESIZE_CHECK_INTERVAL};
+use super::{BatchReport, CuckooTable, UpsertReport, RESIZE_CHECK_INTERVAL};
 
-impl DyCuckoo {
+impl<K: Word, V: Word> CuckooTable<K, V> {
     /// Insert a batch of KV pairs. Duplicate handling follows
     /// [`crate::DupPolicy`]; resizes triggered by the batch are reported.
-    pub fn insert_batch(
-        &mut self,
-        sim: &mut SimContext,
-        kvs: &[(u32, u32)],
-    ) -> Result<BatchReport> {
-        if kvs.iter().any(|&(k, _)| k == 0) {
+    pub fn insert_batch(&mut self, sim: &mut SimContext, kvs: &[(K, V)]) -> Result<BatchReport> {
+        if kvs.iter().any(|&(k, _)| k == K::EMPTY) {
             return Err(Error::ZeroKey);
         }
         let mut report = BatchReport {
@@ -36,8 +33,8 @@ impl DyCuckoo {
         self.decision.note_batch();
         // Stashed keys are updated in place so a key never lives in both
         // the stash and a subtable.
-        let filtered: Vec<(u32, u32)>;
-        let mut rest: &[(u32, u32)] = kvs;
+        let filtered: Vec<(K, V)>;
+        let mut rest: &[(K, V)] = kvs;
         if self.stash.as_ref().is_some_and(|s| !s.is_empty()) {
             let stash = self.stash.as_mut().expect("checked above");
             let _stash_attr = obs::attr::scope("stash");
@@ -66,7 +63,7 @@ impl DyCuckoo {
                 .min(rest.len());
             let (chunk, tail) = rest.split_at(step);
             rest = tail;
-            let ops: Vec<InsertOp> = chunk
+            let ops: Vec<InsertOp<K, V>> = chunk
                 .iter()
                 .map(|&(k, v)| {
                     self.op_counter += 1;
@@ -105,10 +102,10 @@ impl DyCuckoo {
     pub fn upsert_batch(
         &mut self,
         sim: &mut SimContext,
-        kvs: &[(u32, u32)],
+        kvs: &[(K, V)],
         rule: MergeRule,
     ) -> Result<UpsertReport> {
-        if kvs.iter().any(|&(k, _)| k == 0) {
+        if kvs.iter().any(|&(k, _)| k == K::EMPTY) {
             return Err(Error::ZeroKey);
         }
         let mut report = BatchReport {
@@ -122,11 +119,11 @@ impl DyCuckoo {
         // keeping first-touch order. Only a key's first occurrence can be
         // fresh.
         let mut fresh = vec![false; kvs.len()];
-        let mut entries: Vec<(u32, MergeRule, u32, usize)> = Vec::new();
-        let mut index: HashMap<u32, usize> = HashMap::new();
+        let mut entries: Vec<(K, MergeRule, V, usize)> = Vec::new();
+        let mut index: HashMap<K, usize> = HashMap::new();
         for (pos, &(k, arg)) in kvs.iter().enumerate() {
             let (r, a) = match rule {
-                MergeRule::Count => (MergeRule::Add, 1),
+                MergeRule::Count => (MergeRule::Add, V::ONE),
                 r => (r, arg),
             };
             match index.entry(k) {
@@ -158,7 +155,7 @@ impl DyCuckoo {
         for &(_, _, _, pos) in &entries {
             fresh[pos] = true;
         }
-        let mut rest: &[(u32, MergeRule, u32, usize)] = &entries;
+        let mut rest: &[(K, MergeRule, V, usize)] = &entries;
         let mut base = 0usize;
         while !rest.is_empty() {
             let step = (self.headroom_slots().max(512) as usize)
@@ -166,7 +163,7 @@ impl DyCuckoo {
                 .min(rest.len());
             let (chunk, tail) = rest.split_at(step);
             rest = tail;
-            let ops: Vec<InsertOp> = chunk
+            let ops: Vec<InsertOp<K, V>> = chunk
                 .iter()
                 .enumerate()
                 .map(|(i, &(k, r, a, _))| {
@@ -200,13 +197,14 @@ impl DyCuckoo {
 
     /// Counting-table special case: bump each key's counter by its number
     /// of occurrences in the batch, inserting absent keys at their count.
-    pub fn increment_batch(&mut self, sim: &mut SimContext, keys: &[u32]) -> Result<UpsertReport> {
-        let kvs: Vec<(u32, u32)> = keys.iter().map(|&k| (k, 0)).collect();
+    pub fn increment_batch(&mut self, sim: &mut SimContext, keys: &[K]) -> Result<UpsertReport> {
+        // `Count` ignores its argument.
+        let kvs: Vec<(K, V)> = keys.iter().map(|&k| (k, V::EMPTY)).collect();
         self.upsert_batch(sim, &kvs, MergeRule::Count)
     }
 
     /// Look up a batch of keys; returns one `Option<value>` per key.
-    pub fn find_batch(&self, sim: &mut SimContext, keys: &[u32]) -> Vec<Option<u32>> {
+    pub fn find_batch(&self, sim: &mut SimContext, keys: &[K]) -> Vec<Option<V>> {
         let _attr = obs::attr::scope("dycuckoo/find");
         sim.metrics.charge(ChargeKind::Ops, keys.len() as u64);
         let mut results = run_find(
@@ -230,7 +228,7 @@ impl DyCuckoo {
     }
 
     /// Delete a batch of keys, reporting erased count and any downsizes.
-    pub fn delete_batch(&mut self, sim: &mut SimContext, keys: &[u32]) -> Result<BatchReport> {
+    pub fn delete_batch(&mut self, sim: &mut SimContext, keys: &[K]) -> Result<BatchReport> {
         let mut report = BatchReport {
             attempted: keys.len(),
             ..BatchReport::default()
@@ -265,7 +263,7 @@ impl DyCuckoo {
     }
 
     /// Convenience single-key lookup (one-op batch).
-    pub fn get(&self, sim: &mut SimContext, key: u32) -> Option<u32> {
+    pub fn get(&self, sim: &mut SimContext, key: K) -> Option<V> {
         self.find_batch(sim, &[key])[0]
     }
 }

@@ -2,8 +2,8 @@
 //! device-byte ledger and the integrity sweep.
 //!
 //! Every `sim.device.alloc`/`free` the table performs is mirrored into
-//! [`DyCuckoo`]'s `ledger_bytes`, and [`DyCuckoo::verify_integrity`]
-//! asserts the mirror equals the layout-derived [`DyCuckoo::device_bytes`]
+//! [`CuckooTable`]'s `ledger_bytes`, and [`CuckooTable::verify_integrity`]
+//! asserts the mirror equals the layout-derived [`CuckooTable::device_bytes`]
 //! — so layout geometry, the gpu-sim allocation ledger and the resize
 //! paths can never silently drift apart.
 
@@ -14,16 +14,19 @@ use crate::error::Result;
 use crate::resize;
 use crate::stash::Stash;
 use crate::stats::{SubTableStats, TableStats};
-use crate::subtable::SubTable;
+use crate::subtable::{SubTable, Word};
 
-use super::{DyCuckoo, TableShape};
+use super::{CuckooTable, TableShape};
 
-impl DyCuckoo {
+impl<K: Word, V: Word> CuckooTable<K, V> {
     /// Create a table with `cfg.initial_buckets` buckets per subtable.
+    /// The layout must declare this table's word widths
+    /// ([`Config::check_words`]).
     pub fn new(cfg: Config, sim: &mut SimContext) -> Result<Self> {
         cfg.validate()?;
+        cfg.check_words::<K, V>()?;
         let shape = TableShape::from_config(cfg);
-        let tables: Vec<SubTable> = (0..cfg.num_tables)
+        let tables: Vec<SubTable<K, V>> = (0..cfg.num_tables)
             .map(|_| SubTable::new(cfg.initial_buckets, cfg.layout))
             .collect();
         let mut ledger_bytes = 0u64;
@@ -72,7 +75,6 @@ impl DyCuckoo {
             cfg.layout.slots,
         );
         cfg.initial_buckets = sizes[0];
-        cfg.validate()?;
         let mut table = Self::new(cfg, sim)?;
         for (i, &sz) in sizes.iter().enumerate() {
             if sz != table.tables[i].n_buckets() {
@@ -121,7 +123,12 @@ impl DyCuckoo {
 
     /// Overall filled factor `θ`.
     pub fn fill_factor(&self) -> f64 {
-        resize::overall_fill(&self.tables)
+        resize::overall_fill(&self.subtable_stats())
+    }
+
+    /// Per-subtable statistics: the numbers the resize policy reads.
+    pub(super) fn subtable_stats(&self) -> Vec<SubTableStats> {
+        self.tables.iter().map(SubTableStats::of).collect()
     }
 
     /// Total key slots across all subtables.
@@ -149,20 +156,11 @@ impl DyCuckoo {
 
     /// Snapshot of per-subtable statistics.
     pub fn stats(&self) -> TableStats {
-        let per_table: Vec<SubTableStats> = self
-            .tables
-            .iter()
-            .map(|t| SubTableStats {
-                n_buckets: t.n_buckets(),
-                occupied: t.occupied(),
-                capacity_slots: t.capacity_slots(),
-                fill: t.fill_factor(),
-            })
-            .collect();
+        let per_table = self.subtable_stats();
         TableStats {
             num_tables: self.tables.len(),
             occupied: self.len(),
-            capacity_slots: self.tables.iter().map(|t| t.capacity_slots()).sum(),
+            capacity_slots: self.capacity_slots(),
             fill: self.fill_factor(),
             device_bytes: self.device_bytes(),
             per_table,
@@ -186,7 +184,7 @@ impl DyCuckoo {
 
     /// Raw subtables, for experiments that need structural detail (e.g. the
     /// resize-throughput comparison reads exact per-subtable sizes).
-    pub fn subtables(&self) -> &[SubTable] {
+    pub fn subtables(&self) -> &[SubTable<K, V>] {
         &self.tables
     }
 
@@ -213,7 +211,7 @@ impl DyCuckoo {
             for t in stores {
                 for (k, _) in t.iter_live() {
                     if stash.find(k, &mut ctx).is_some() {
-                        return Err(format!("key {k} resides in a subtable AND the stash"));
+                        return Err(format!("key {k:?} resides in a subtable AND the stash"));
                     }
                 }
             }
@@ -231,13 +229,14 @@ impl DyCuckoo {
             }
             for b in 0..t.n_buckets() {
                 for (s, &k) in t.bucket_keys(b).iter().enumerate() {
-                    if k == crate::subtable::EMPTY_KEY {
+                    if k == K::EMPTY {
                         continue;
                     }
-                    if !self.shape.candidates(k).contains(i) {
+                    let cands = self.shape.candidates(k.route());
+                    if !cands.contains(i) {
                         return Err(format!(
-                            "key {k} in subtable {i} bucket {b} slot {s}, outside its candidate set {:?}",
-                            self.shape.candidates(k).as_slice_vec()
+                            "key {k:?} in subtable {i} bucket {b} slot {s}, outside its candidate set {:?}",
+                            cands.as_slice_vec()
                         ));
                     }
                     // Mid-migration, a key of the draining subtable must sit
@@ -246,21 +245,21 @@ impl DyCuckoo {
                     match view {
                         Some(v) if v.table == i => {
                             use super::migration::Route;
-                            match v.route(&self.shape.hashes[i], k) {
+                            match v.route(&self.shape.hashes[i], k.route()) {
                                 Route::Old(expect) if expect == b => {}
                                 route => {
                                     return Err(format!(
-                                        "key {k} in draining subtable {i} bucket {b}, \
+                                        "key {k:?} in draining subtable {i} bucket {b}, \
                                          but the migration view routes it to {route:?}"
                                     ));
                                 }
                             }
                         }
                         _ => {
-                            let expect = self.shape.hashes[i].bucket(k, t.n_buckets());
+                            let expect = self.shape.hashes[i].bucket(k.route(), t.n_buckets());
                             if expect != b {
                                 return Err(format!(
-                                    "key {k} in subtable {i} bucket {b}, expected bucket {expect}"
+                                    "key {k:?} in subtable {i} bucket {b}, expected bucket {expect}"
                                 ));
                             }
                         }
@@ -281,15 +280,15 @@ impl DyCuckoo {
             }
             for b in 0..t.n_buckets() {
                 for &k in t.bucket_keys(b) {
-                    if k == crate::subtable::EMPTY_KEY {
+                    if k == K::EMPTY {
                         continue;
                     }
                     use super::migration::Route;
-                    match v.route(&self.shape.hashes[d.table], k) {
+                    match v.route(&self.shape.hashes[d.table], k.route()) {
                         Route::Fresh(expect) if expect == b => {}
                         route => {
                             return Err(format!(
-                                "key {k} in fresh subtable {} bucket {b}, \
+                                "key {k:?} in fresh subtable {} bucket {b}, \
                                  but the migration view routes it to {route:?}",
                                 d.table
                             ));

@@ -1155,6 +1155,27 @@ impl UnsizedTable {
         Ok(())
     }
 
+    /// Give up on eviction chains that still carry words after the last
+    /// allowed grow: free the arena bytes they reference, then recount
+    /// `len` from the slots (a chain may carry a key placed earlier in the
+    /// batch, or one that predates it, so the batch's own counters cannot
+    /// say what the table holds) and sync the device ledger. The table
+    /// stays consistent; the carried pairs are lost.
+    fn abandon_failed(&mut self, sim: &mut SimContext, failed: &[(u128, u64, u64)]) -> Error {
+        for &(kw, vw, _) in failed {
+            free_entry(&mut self.arena, kw, vw);
+        }
+        self.len = self.tables.iter().map(|t| t.occupied()).sum::<u64>()
+            + self.drain.as_ref().map_or(0, |d| d.fresh.occupied());
+        if let Err(e) = self.sync_device(sim) {
+            return e;
+        }
+        self.debug_verify("abandoned insert batch");
+        Error::InsertStuck {
+            failed_ops: failed.len(),
+        }
+    }
+
     /// Begin growing the fuller subtable (no-op if a drain is in flight).
     fn start_grow(&mut self, report: &mut UnsizedReport) {
         if self.drain.is_some() {
@@ -1387,9 +1408,7 @@ impl UnsizedTable {
         while !out.failed.is_empty() {
             if self.drain.is_none() {
                 if report.resizes >= MAX_RESIZES_PER_BATCH {
-                    return Err(Error::InsertStuck {
-                        failed_ops: out.failed.len(),
-                    });
+                    return Err(self.abandon_failed(sim, &out.failed));
                 }
                 self.start_grow(&mut report);
             }
@@ -1827,6 +1846,42 @@ mod tests {
         assert!(t.put(&mut sim, b"k", &huge).is_err());
         assert_eq!(t.len(), 0);
         t.verify_integrity().unwrap();
+    }
+
+    /// Insert `n` distinct 12-byte keys in one batch that must give up
+    /// with `InsertStuck`, then check that `len`, the arena and the device
+    /// ledger agree with what the table holds.
+    fn check_stuck_batch(cfg: UnsizedConfig, n: usize, spill: bool) {
+        let keys: Vec<Vec<u8>> = (0..n).map(|i| format!("k{i:011}").into_bytes()).collect();
+        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+        // Spilled values (the key bytes) make abandoned chains carry arena
+        // blobs too.
+        let pairs: Vec<(&[u8], &[u8])> = refs
+            .iter()
+            .map(|&k| (k, if spill { k } else { &b"v"[..] }))
+            .collect();
+        let mut sim = SimContext::new();
+        let mut t = UnsizedTable::new(cfg, &mut sim).unwrap();
+        let err = t.insert_batch(&mut sim, &pairs).unwrap_err();
+        assert!(matches!(err, Error::InsertStuck { .. }), "{err}");
+        let found = t.find_batch(&mut sim, &refs).unwrap();
+        let held = found.iter().filter(|f| f.is_some()).count() as u64;
+        assert!(held > 0);
+        assert_eq!(t.len(), held, "len must count what the table holds");
+        t.verify_integrity().unwrap();
+        assert_eq!(sim.device.allocated_bytes(), t.device_bytes());
+    }
+
+    #[test]
+    fn stuck_insert_batch_leaves_counters_consistent() {
+        // 10,000 keys into a default table: 159 chains are abandoned.
+        check_stuck_batch(UnsizedConfig::default(), 10_000, false);
+        let small = UnsizedConfig {
+            n_buckets: 1,
+            eviction_limit: 1,
+            ..UnsizedConfig::default()
+        };
+        check_stuck_batch(small, 1_000, true);
     }
 
     #[test]

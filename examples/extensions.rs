@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --release --example extensions`
 
-use dycuckoo::{Config, DyCuckoo, WideDyCuckoo};
-use gpu_sim::SimContext;
+use dycuckoo::{Config, DyCuckoo, WideDyCuckoo, WIDE_BUCKET_SLOTS};
+use gpu_sim::{LayoutConfig, SimContext};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Part 1: the overflow stash ----------------------------------
@@ -38,17 +38,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Part 2: wide 64-bit keys -------------------------------------
     // Session IDs, composite join keys and pointers don't fit in 32 bits.
-    // The wide table keeps the two-layer ≤2-lookup guarantee with 16-slot
+    // The wide table is the same table at 8-byte words: it keeps the
+    // two-layer ≤2-lookup guarantee and the [α, β] resizing with 16-slot
     // buckets (8-byte keys fill the same 128-byte line).
     println!("\nPart 2: 64-bit keys (16-slot buckets)");
     let mut sim = SimContext::new();
-    let mut wide = WideDyCuckoo::new(4, 64, 11, &mut sim)?;
+    let cfg = Config {
+        seed: 11,
+        layout: LayoutConfig::soa(WIDE_BUCKET_SLOTS, 8, 8),
+        ..Config::default()
+    };
+    let mut wide = WideDyCuckoo::new(cfg, &mut sim)?;
     let sessions: Vec<(u64, u64)> = (0..100_000u64)
         .map(|i| ((i + 1) << 20 | 0xBEEF, i * 31))
         .collect();
-    wide.insert_batch(&mut sim, &sessions)?;
+    let resizes = wide.insert_batch(&mut sim, &sessions)?.resizes.len();
     println!(
-        "  inserted {} wide keys, θ = {:.1}%, {} KiB",
+        "  inserted {} wide keys, {resizes} resizes, θ = {:.1}%, {} KiB",
         wide.len(),
         wide.fill_factor() * 100.0,
         wide.device_bytes() / 1024

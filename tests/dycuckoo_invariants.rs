@@ -4,8 +4,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-use dycuckoo::{Config, Distribution, DyCuckoo, Layering, WideDyCuckoo};
-use gpu_sim::{SchedulePolicy, SimContext};
+use dycuckoo::{Config, Distribution, DyCuckoo, Layering, WideDyCuckoo, WIDE_BUCKET_SLOTS};
+use gpu_sim::{LayoutConfig, SchedulePolicy, SimContext};
 
 /// An operation in a random workload.
 #[derive(Debug, Clone)]
@@ -23,6 +23,17 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => key.clone().prop_map(Op::Delete),
         2 => key.prop_map(Op::Find),
     ]
+}
+
+/// A small wide table: the core at 8-byte words, 16 slots per bucket.
+fn small_wide_table(sim: &mut SimContext) -> WideDyCuckoo {
+    let cfg = Config {
+        initial_buckets: 2,
+        seed: 3,
+        layout: LayoutConfig::soa(WIDE_BUCKET_SLOTS, 8, 8),
+        ..Config::default()
+    };
+    WideDyCuckoo::new(cfg, sim).unwrap()
 }
 
 fn small_config(layering: Layering, distribution: Distribution) -> Config {
@@ -225,7 +236,7 @@ proptest! {
         let mut seen = std::collections::HashSet::new();
         let keys: Vec<u64> = raw_keys.into_iter().filter(|&k| seen.insert(k)).collect();
         let mut sim = SimContext::new();
-        let mut table = WideDyCuckoo::new(4, 2, 3, &mut sim).unwrap();
+        let mut table = small_wide_table(&mut sim);
         let kvs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k ^ 0xFF)).collect();
         table.insert_batch(&mut sim, &kvs).unwrap();
         prop_assert_eq!(table.len(), keys.len() as u64);
@@ -242,8 +253,9 @@ proptest! {
             .filter(|(_, &d)| d)
             .map(|(&k, _)| k)
             .collect();
-        let deleted = table.delete_batch(&mut sim, &deletes);
+        let deleted = table.delete_batch(&mut sim, &deletes).unwrap().deleted;
         prop_assert_eq!(deleted, deletes.len() as u64);
+        prop_assert!(table.verify_integrity().is_ok());
 
         let dead: std::collections::HashSet<u64> = deletes.into_iter().collect();
         sim.take_metrics();
@@ -375,13 +387,13 @@ proptest! {
 
         let run = |policy: SchedulePolicy| {
             let mut sim = SimContext::new();
-            let mut table = WideDyCuckoo::new(4, 2, 3, &mut sim).unwrap();
+            let mut table = small_wide_table(&mut sim);
             table.set_schedule(policy);
             for chunk in keys.chunks(16) {
                 let kvs: Vec<(u64, u64)> = chunk.iter().map(|&k| (k, k ^ 0x5A5A)).collect();
                 table.insert_batch(&mut sim, &kvs).unwrap();
             }
-            let deleted = table.delete_batch(&mut sim, &deletes);
+            let deleted = table.delete_batch(&mut sim, &deletes).unwrap().deleted;
             assert_eq!(deleted, deletes.len() as u64);
             (table.find_batch(&mut sim, &keys), table.len())
         };
